@@ -1,11 +1,13 @@
 //! End-to-end critical-path attribution: a 4-worker data-parallel run
 //! with one rank stalled must trace, analyze, and cross-check against
-//! the simulator.
+//! the simulator; a tensor-parallel grid must trace every worker's
+//! every step.
 //!
-//! Runs alone in its own process (single test in this file) because it
-//! owns the global recorder for the duration of the run.
+//! Each traced run owns the process-global recorder while it runs, so
+//! only the straggler test traces in this process; the grid case
+//! re-runs this test binary for its body in a child process.
 
-use matgpt_core::parallel::{DataParallel, ParallelConfig};
+use matgpt_core::parallel::{train_topology, DataParallel, ParallelConfig, Topology};
 use matgpt_core::{
     FaultPlan, OptChoice, PretrainConfig, RecoveryPolicy, ResilienceConfig, SizeRole,
 };
@@ -13,7 +15,7 @@ use matgpt_corpus::{build_corpus, CorpusConfig};
 use matgpt_frontier_sim::parallel::{simulate_step, Strategy, TrainSetup};
 use matgpt_model::{ArchKind, GptConfig};
 use matgpt_obs::critical_path;
-use matgpt_obs::Recorder;
+use matgpt_obs::{pids, Recorder};
 use matgpt_tokenizer::TokenizerKind;
 
 #[test]
@@ -98,4 +100,74 @@ fn injected_straggler_is_attributed_and_phase_order_matches_fig9() {
         report.phase_order, sim_order,
         "measured phase order diverges from the simulated Fig. 9 timeline"
     );
+}
+
+/// A traced `dp2 × tp2` grid: every worker runs on a `rank {i}` track
+/// with one `worker-step` span per step around its forward and
+/// backward passes, and critical-path attribution covers every step.
+#[test]
+fn tp_grid_traces_every_worker_step() {
+    let status = std::process::Command::new(std::env::current_exe().expect("test binary"))
+        .args(["--exact", "tp_grid_trace_body", "--ignored", "--nocapture"])
+        .status()
+        .expect("spawn the test binary");
+    assert!(status.success(), "traced dp2-tp2 grid run failed");
+}
+
+#[test]
+#[ignore = "traces through the global recorder; run in its own process by tp_grid_traces_every_worker_step"]
+fn tp_grid_trace_body() {
+    let rec = Recorder::global();
+    rec.clear();
+    rec.enable();
+    let documents = build_corpus(&CorpusConfig {
+        n_materials: 30,
+        total_docs: 90,
+        offtopic_fraction: 0.2,
+        seed: 31,
+    })
+    .documents;
+    let cfg = PretrainConfig {
+        steps: 4,
+        batch_seqs: 4,
+        seq: 32,
+        ..PretrainConfig::scaled(
+            ArchKind::Llama,
+            TokenizerKind::Hf,
+            300,
+            OptChoice::Adam,
+            SizeRole::Base,
+        )
+    };
+    let topo = Topology::new(2, 2, 1);
+    train_topology(&documents, &cfg, topo).expect("traced grid");
+    rec.disable();
+
+    let events = rec.snapshot();
+    let tracks = rec.track_names();
+    for i in 0..topo.world() {
+        let label = format!("rank {i}");
+        let tid = tracks
+            .iter()
+            .find(|((pid, _), name)| *pid == pids::PARALLEL && *name == label)
+            .map(|((_, tid), _)| *tid)
+            .unwrap_or_else(|| panic!("no `{label}` track"));
+        let count = |name: &str| {
+            events
+                .iter()
+                .filter(|e| e.pid == pids::PARALLEL && e.tid == tid && e.name == name)
+                .count()
+        };
+        assert_eq!(count("worker-step"), cfg.steps, "{label} worker-step spans");
+        assert_eq!(count("forward"), cfg.steps, "{label} forward spans");
+        assert_eq!(count("backward"), cfg.steps, "{label} backward spans");
+    }
+
+    let report = critical_path::analyze(&events, &rec.flows(), &tracks);
+    assert_eq!(report.steps.len(), cfg.steps, "every step attributed");
+    assert_eq!(report.ranks.len(), topo.world(), "every worker a rank");
+    assert!(report
+        .steps
+        .iter()
+        .all(|s| s.per_rank_ms.len() == topo.world()));
 }

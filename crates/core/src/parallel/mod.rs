@@ -10,6 +10,12 @@
 //! per-worker traffic lands on the paper's `2(N−1)/N · M` closed form
 //! ([`matgpt_frontier_sim::collectives::wire_bytes`]).
 //!
+//! There is one threaded executor: `DataParallel` is the
+//! [`topology`] grid at `Topology::new(N, 1, 1)`, the same workers and
+//! coordinator that run tensor and pipeline parallelism. This module
+//! keeps the data-parallel surface (config, report, shard plan, the
+//! sequential reference) and its thin entry points.
+//!
 //! Two synchronization modes:
 //!
 //! * **Replicated** ([`ParallelConfig::replicated`]) — classic DP:
@@ -41,7 +47,7 @@
 //!   (shard-aligned reduction buckets, whole-tensor LAMB trust ratios,
 //!   and a tensor-order global-norm fold make the masked update exact);
 //! * checkpoints are ordinary v2 MGPT images (ZeRO-1 shards are merged
-//!   back with [`OptimizerState::merge_shards`]), so
+//!   back with [`matgpt_optim::OptimizerState::merge_shards`]), so
 //!   [`crate::pretrain::pretrain_resume`] composes with DP runs.
 //!
 //! # Fault tolerance
@@ -60,27 +66,27 @@ pub mod resilience;
 pub mod topology;
 
 use crate::pretrain::{
-    build_model, build_optimizer, train_tokenizer, validation_loss_on, LossCurves, Pretrained,
-    ResumeError, SEC_CURSOR, SEC_CURVES, SEC_LABEL, SEC_OPT, SEC_STEP,
+    build_model, build_optimizer, decode_resume, train_tokenizer, validation_loss_on, LossCurves,
+    Pretrained, ResumeError, ResumeState,
 };
 use crate::recipes::PretrainConfig;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use matgpt_corpus::{Batch, TokenDataset};
 use matgpt_frontier_sim::collectives::{wire_bytes, Collective as CollKind};
 use matgpt_model::GptModel;
-use matgpt_obs::{flight, pids, Histogram, Registry, Span};
-use matgpt_optim::{CosineSchedule, LrSchedule, OptimizerState};
-use matgpt_tensor::{checkpoint, ParamStore, Tape};
-use resilience::{FaultKind, FaultPlan, Heartbeats};
+use matgpt_obs::{pids, Span};
+use matgpt_optim::{CosineSchedule, LrSchedule};
+use matgpt_tensor::precision::with_compute_precision;
+use matgpt_tensor::{ParamStore, Tape};
+use resilience::ResilienceConfig;
 use std::ops::Range;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
+use topology::{drive, Driven, RunError, RunSpec};
 
+use collective::DEFAULT_RING_TIMEOUT;
 pub use collective::{
     ring_allgather_rank_bytes, ring_allreduce_rank_bytes, ring_allreduce_sum,
     ring_reduce_scatter_rank_bytes, Collective, CollectiveError, PipeDir, PipeLink, RingComm,
 };
-pub(crate) use collective::{Ring, DEFAULT_RING_TIMEOUT};
 /// Re-exported from `matgpt_tensor`, where the fold order now lives so
 /// the tape's sequential-reference TP ops share it.
 pub use matgpt_tensor::ring_fold;
@@ -307,7 +313,7 @@ impl ShardPlan {
     }
 
     /// For every tensor, the rank that owns it (the
-    /// [`OptimizerState::merge_shards`] argument).
+    /// [`matgpt_optim::OptimizerState::merge_shards`] argument).
     pub fn owners(&self) -> Vec<usize> {
         let n_tensors = self.offsets.len() - 1;
         (0..n_tensors)
@@ -353,9 +359,9 @@ fn split_batch(batch: &Batch, n: usize) -> Vec<Batch> {
 }
 
 /// One replica's gradient computation for one micro-batch: zero grads,
-/// (optionally) round weights to the mixed-precision grid, forward,
-/// backward, restore masters. Returns the micro loss. Identical between
-/// threaded workers and the sequential reference.
+/// forward and backward on the compute-precision weights. Returns the
+/// micro loss. The sequential reference's twin of a grid worker's
+/// step.
 fn micro_grads(
     cfg: &PretrainConfig,
     model: &GptModel,
@@ -363,35 +369,24 @@ fn micro_grads(
     micro: &Batch,
 ) -> f32 {
     store.zero_grads();
-    let masters = if cfg.precision != matgpt_tensor::Precision::F32 {
-        let snap = matgpt_tensor::precision::snapshot_values(store);
-        matgpt_tensor::precision::round_store(store, cfg.precision);
-        Some(snap)
-    } else {
-        None
-    };
-    let mut tape = Tape::new();
-    let loss = {
-        let _s = Span::enter(pids::PARALLEL, "dp", "forward");
-        model.loss(
-            &mut tape,
-            store,
-            &micro.inputs,
-            &micro.targets,
-            micro.batch,
-            micro.seq,
-        )
-    };
-    let micro_loss = tape.value(loss).item();
-    {
+    with_compute_precision(store, cfg.precision, |store| {
+        let mut tape = Tape::new();
+        let loss = {
+            let _s = Span::enter(pids::PARALLEL, "dp", "forward");
+            model.loss(
+                &mut tape,
+                store,
+                &micro.inputs,
+                &micro.targets,
+                micro.batch,
+                micro.seq,
+            )
+        };
         let _s = Span::enter(pids::PARALLEL, "dp", "backward");
         tape.backward(loss);
         tape.accumulate_param_grads(store);
-    }
-    if let Some(snap) = masters {
-        matgpt_tensor::precision::restore_values(store, &snap);
-    }
-    micro_loss
+        tape.value(loss).item()
+    })
 }
 
 /// Scale `buf[own]` by 1/n — the gradient-averaging step, applied by
@@ -407,274 +402,8 @@ fn scale_owned(buf: &mut [f32], own: &Range<usize>, n: usize) {
     }
 }
 
-/// Per-tensor squared gradient norms for the tensors in `tensors`,
-/// read from the flat gradient buffer. Uses the same per-element
-/// multiply-and-left-fold as [`matgpt_tensor::Tensor::sq_norm`], so the
-/// ZeRO-1 global-norm clip matches `ParamStore::clip_grad_norm` bitwise.
-fn owned_sq_norms(flat: &[f32], plan: &ShardPlan, tensors: &Range<usize>, out: &mut [f32]) {
-    for t in tensors.clone() {
-        let range = plan.offsets[t]..plan.offsets[t + 1];
-        out[t] = flat[range].iter().map(|v| v * v).sum::<f32>();
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Worker protocol.
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-enum ToWorker {
-    Step {
-        step: usize,
-        micro: Batch,
-        lr: f32,
-        eval: bool,
-    },
-    /// Export optimizer state (a shard under ZeRO-1) for consolidation.
-    ExportOpt,
-    /// Rank 0 only: wrap its weights and the prepared sections into a
-    /// v2 checkpoint image.
-    Assemble(Vec<(String, Vec<u8>)>),
-    Finish,
-}
-
-#[derive(Debug)]
-enum FromWorker {
-    StepDone {
-        rank: usize,
-        micro_loss: f32,
-        val_loss: Option<f32>,
-        compute_ms: f64,
-        comm_ms: f64,
-        sent_bytes: u64,
-        opt_bytes: usize,
-    },
-    /// A collective failed under this rank: it reports the typed error
-    /// and exits — the coordinator decides who actually died.
-    StepFailed {
-        rank: usize,
-        err: CollectiveError,
-    },
-    Opt(usize, OptimizerState),
-    Image(Vec<u8>),
-}
-
-struct WorkerSeat {
-    rank: usize,
-    ring: Ring,
-    rx: Receiver<ToWorker>,
-    tx: Sender<FromWorker>,
-    /// Injected faults this worker consults at each step.
-    faults: Arc<FaultPlan>,
-    /// Liveness board the coordinator reads for failure detection.
-    beats: Arc<Heartbeats>,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn worker_main(
-    seat: WorkerSeat,
-    cfg: &PretrainConfig,
-    zero1: bool,
-    vocab: usize,
-    plan: &ShardPlan,
-    val_batches: &[Batch],
-    opt_restore: Option<&OptimizerState>,
-    weight_restore: Option<&ParamStore>,
-) -> Option<(GptModel, ParamStore)> {
-    let WorkerSeat {
-        rank,
-        mut ring,
-        rx,
-        tx,
-        faults,
-        beats,
-    } = seat;
-    let n = ring.n;
-    let (model, mut store) = build_model(cfg, vocab);
-    if let Some(weights) = weight_restore {
-        let restored = checkpoint::restore_into(&mut store, weights);
-        assert_eq!(restored, store.len(), "resume weights cover the model");
-    }
-    let mut opt = build_optimizer(cfg);
-    let mask = plan.owned_mask(rank);
-    if let Some(full) = opt_restore {
-        opt.import_state(if zero1 {
-            full.shard(&mask)
-        } else {
-            full.clone()
-        });
-    }
-
-    // Identify this thread everywhere observability looks: the flight
-    // ring (postmortems flag the victim by rank), and the global
-    // recorder's track names (critical-path attribution parses them).
-    flight::label_thread(format!("rank {rank}"), Some(rank as u64));
-    matgpt_obs::Recorder::global().set_track_name(
-        pids::PARALLEL,
-        matgpt_obs::thread_tid(),
-        format!("rank {rank}"),
-    );
-
-    let rank_label = rank.to_string();
-    let reg = Registry::global();
-    let labels = [("worker", rank_label.as_str())];
-    let bytes_total = reg.counter_with(
-        "parallel_allreduce_bytes_total",
-        &labels,
-        "gradient-sync bytes this worker sent on the ring",
-    );
-    let sync_wait = reg.histogram_with(
-        "parallel_step_sync_wait_ms",
-        &labels,
-        "per-step time blocked on ring receives",
-        &Histogram::LATENCY_MS_BOUNDS,
-    );
-    let steps_total = reg.counter_with(
-        "parallel_steps_total",
-        &labels,
-        "data-parallel steps this worker executed",
-    );
-
-    let n_tensors = plan.offsets.len() - 1;
-    // A vanished coordinator (failure teardown) ends the worker
-    // gracefully instead of poisoning the thread scope.
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            ToWorker::Step {
-                step,
-                micro,
-                lr,
-                eval,
-            } => {
-                beats.beat(rank);
-                ring.step = step as u64;
-                let _step_span = Span::enter(pids::PARALLEL, "dp", "worker-step");
-                match faults.take(rank, step) {
-                    Some(FaultKind::Kill) => {
-                        // Die mid-step: the gradients are computed but
-                        // this rank's ring endpoints drop before its
-                        // first send — peers observe exactly what a
-                        // vanished node looks like.
-                        let _ = micro_grads(cfg, &model, &mut store, &micro);
-                        return None;
-                    }
-                    Some(FaultKind::Stall { ms }) => std::thread::sleep(Duration::from_millis(ms)),
-                    None => {}
-                }
-                let bytes_before = ring.sent_bytes;
-                let wait_before = ring.wait_ms;
-                let t0 = Instant::now();
-                let micro_loss = micro_grads(cfg, &model, &mut store, &micro);
-                beats.beat(rank);
-                let mut flat = store.flat_grads();
-
-                let synced = (|| -> Result<(), CollectiveError> {
-                    {
-                        let _s = Span::enter(pids::PARALLEL, "dp", "reduce-scatter");
-                        ring.reduce_scatter(&mut flat, &plan.flat)?;
-                    }
-                    beats.beat(rank);
-                    scale_owned(&mut flat, &plan.flat[rank], n);
-
-                    if zero1 {
-                        // Global-norm clip from allgathered per-tensor norms,
-                        // folded in tensor order like `ParamStore::grad_norm`.
-                        let mut norms = vec![0.0f32; n_tensors];
-                        owned_sq_norms(&flat, plan, &plan.tensors[rank], &mut norms);
-                        {
-                            let _s = Span::enter(pids::PARALLEL, "dp", "allgather-norms");
-                            ring.allgather(&mut norms, &plan.tensors)?;
-                        }
-                        let norm = norms.iter().sum::<f32>().sqrt();
-                        if norm > 1.0 {
-                            let s = 1.0 / norm;
-                            for x in &mut flat[plan.flat[rank].clone()] {
-                                *x *= s;
-                            }
-                        }
-                        store.load_flat_grads(&flat);
-                        {
-                            let _s = Span::enter(pids::PARALLEL, "dp", "optimizer");
-                            opt.step_masked(&mut store, lr, &mask);
-                        }
-                        beats.beat(rank);
-                        let mut vals = store.flat_values();
-                        {
-                            let _s = Span::enter(pids::PARALLEL, "dp", "allgather-params");
-                            ring.allgather(&mut vals, &plan.flat)?;
-                        }
-                        store.load_flat_values(&vals);
-                    } else {
-                        {
-                            let _s = Span::enter(pids::PARALLEL, "dp", "allgather-grads");
-                            ring.allgather(&mut flat, &plan.flat)?;
-                        }
-                        store.load_flat_grads(&flat);
-                        let _s = Span::enter(pids::PARALLEL, "dp", "optimizer");
-                        store.clip_grad_norm(1.0);
-                        opt.step(&mut store, lr);
-                    }
-                    Ok(())
-                })();
-                if let Err(err) = synced {
-                    // Report the typed failure (best-effort: the
-                    // coordinator may already be tearing down) and exit;
-                    // dropping the ring wakes any peer still blocked.
-                    let _ = tx.send(FromWorker::StepFailed { rank, err });
-                    return None;
-                }
-                // Compute = wall time not blocked on ring receives.
-                let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-                beats.beat(rank);
-
-                // The training step proper ends here. Validation is
-                // rank-0 bookkeeping no peer waits on within this step,
-                // so it gets its own slice instead of padding the
-                // step's critical path.
-                drop(_step_span);
-                let val_loss = (eval && rank == 0).then(|| {
-                    let _s = Span::enter(pids::PARALLEL, "dp", "validation");
-                    validation_loss_on(&model, &store, val_batches)
-                });
-
-                let sent = ring.sent_bytes - bytes_before;
-                let waited = ring.wait_ms - wait_before;
-                bytes_total.add(sent);
-                sync_wait.observe(waited);
-                steps_total.inc();
-                let done = FromWorker::StepDone {
-                    rank,
-                    micro_loss,
-                    val_loss,
-                    compute_ms: (wall_ms - waited).max(0.0),
-                    comm_ms: waited,
-                    sent_bytes: sent,
-                    opt_bytes: opt.state_bytes(),
-                };
-                if tx.send(done).is_err() {
-                    break;
-                }
-            }
-            ToWorker::ExportOpt => {
-                if tx.send(FromWorker::Opt(rank, opt.export_state())).is_err() {
-                    break;
-                }
-            }
-            ToWorker::Assemble(sections) => {
-                let _s = Span::enter(pids::PARALLEL, "dp", "checkpoint");
-                let image = checkpoint::save_with_sections(&store, &sections).to_vec();
-                if tx.send(FromWorker::Image(image)).is_err() {
-                    break;
-                }
-            }
-            ToWorker::Finish => break,
-        }
-    }
-    (rank == 0).then_some((model, store))
-}
-
-// ---------------------------------------------------------------------------
-// Coordinator.
+// The data-parallel entry points.
 // ---------------------------------------------------------------------------
 
 /// The data-parallel training executor. See the module docs for the
@@ -731,8 +460,10 @@ impl DataParallel {
 
     /// Train `cfg` on `documents` across the configured workers.
     pub fn train(&self, documents: &[String], cfg: &PretrainConfig) -> ParallelOutcome {
-        self.run(documents, cfg, None, None)
-            .expect("fresh runs cannot fail to resume")
+        let run = self
+            .run_grid(documents, cfg, None, None, None)
+            .expect("fresh runs cannot fail to resume");
+        self.outcome(run, cfg)
     }
 
     /// As [`DataParallel::train`], checkpointing every `every` steps
@@ -744,8 +475,10 @@ impl DataParallel {
         cfg: &PretrainConfig,
         every: usize,
     ) -> ParallelOutcome {
-        self.run(documents, cfg, Some(every.max(1)), None)
-            .expect("fresh runs cannot fail to resume")
+        let run = self
+            .run_grid(documents, cfg, Some(every.max(1)), None, None)
+            .expect("fresh runs cannot fail to resume");
+        self.outcome(run, cfg)
     }
 
     /// Resume a checkpointed run (from [`DataParallel`] or a
@@ -757,7 +490,9 @@ impl DataParallel {
         cfg: &PretrainConfig,
         bytes: &[u8],
     ) -> Result<ParallelOutcome, ResumeError> {
-        self.run(documents, cfg, None, Some(bytes))
+        let restore = decode_resume(cfg, bytes)?;
+        let run = self.run_grid(documents, cfg, None, Some(restore), None)?;
+        Ok(self.outcome(run, cfg))
     }
 
     /// The sequential reference executor: one replica, one thread,
@@ -866,319 +601,76 @@ impl DataParallel {
         }
     }
 
-    fn run(
+    /// Run this executor's `N × 1 × 1` grid. Plain runs bound every
+    /// ring receive by [`DEFAULT_RING_TIMEOUT`], resilient runs by
+    /// their `collective_timeout_ms`.
+    fn run_grid(
         &self,
         documents: &[String],
         cfg: &PretrainConfig,
         checkpoint_every: Option<usize>,
-        resume_from: Option<&[u8]>,
-    ) -> Result<ParallelOutcome, ResumeError> {
-        let n = self.cfg.workers;
-        let zero1 = self.cfg.zero1;
-        assert!(
-            cfg.batch_seqs.is_multiple_of(n),
-            "global batch {} must divide across {n} workers",
-            cfg.batch_seqs
-        );
-        let tokenizer = train_tokenizer(cfg.tokenizer, cfg.vocab, documents);
-        let vocab = tokenizer.vocab_size();
-        let mut dataset = TokenDataset::new(documents, tokenizer.as_ref(), 0.08, cfg.seed ^ 0xda7a);
-
-        // Decode and validate a resume image coordinator-side (same
-        // checks as `Trainer::resume_with_tokenizer`).
-        let restore = match resume_from {
-            None => None,
-            Some(bytes) => Some(decode_resume(cfg, bytes)?),
+        restore: Option<ResumeState>,
+        resilience: Option<ResilienceConfig>,
+    ) -> Result<Driven, ResumeError> {
+        let timeout = resilience.as_ref().map_or(DEFAULT_RING_TIMEOUT, |r| {
+            Duration::from_millis(r.collective_timeout_ms.max(1))
+        });
+        let spec = RunSpec {
+            topo: Topology {
+                timeout,
+                ..Topology::new(self.cfg.workers, 1, 1)
+            },
+            zero1: self.cfg.zero1,
+            checkpoint_every,
+            restore,
+            resilience,
         };
-        let (start_step, mut train_curve, mut val_curve) = match &restore {
-            Some(r) => {
-                dataset.seek(r.cursor);
-                (r.step, r.train_curve.clone(), r.val_curve.clone())
-            }
-            None => (0, Vec::new(), Vec::new()),
-        };
-
-        // Probe replica: the tensor layout every worker will build.
-        let sizes = {
-            let (_, probe) = build_model(cfg, vocab);
-            probe.tensor_sizes()
-        };
-        let plan = Arc::new(ShardPlan::new(&sizes, n));
-        let val_batches = Arc::new(dataset.val_batches(2, cfg.seq));
-        let schedule = CosineSchedule::paper(cfg.lr, cfg.steps);
-        let eval_every = (cfg.steps / 10).max(1);
-
-        let rings = Ring::build(n, DEFAULT_RING_TIMEOUT);
-        let faults = Arc::new(FaultPlan::none());
-        let beats = Arc::new(Heartbeats::new(n));
-        let (tx_out, rx_out) = unbounded::<FromWorker>();
-        let mut cmd_txs: Vec<Sender<ToWorker>> = Vec::with_capacity(n);
-        let mut seats: Vec<WorkerSeat> = Vec::with_capacity(n);
-        for (rank, ring) in rings.into_iter().enumerate() {
-            let (tx_cmd, rx_cmd) = unbounded::<ToWorker>();
-            cmd_txs.push(tx_cmd);
-            seats.push(WorkerSeat {
-                rank,
-                ring,
-                rx: rx_cmd,
-                tx: tx_out.clone(),
-                faults: Arc::clone(&faults),
-                beats: Arc::clone(&beats),
-            });
+        match drive(documents, cfg, spec) {
+            Ok(run) => Ok(run),
+            Err(RunError::Resume(e)) => Err(e),
+            Err(RunError::Topology(e)) => panic!("data-parallel run failed: {e}"),
         }
-        drop(tx_out);
+    }
 
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = seats
-                .into_iter()
-                .map(|seat| {
-                    let plan = Arc::clone(&plan);
-                    let val_batches = Arc::clone(&val_batches);
-                    let restore = restore.as_ref();
-                    scope.spawn(move || {
-                        worker_main(
-                            seat,
-                            cfg,
-                            zero1,
-                            vocab,
-                            &plan,
-                            &val_batches,
-                            restore.map(|r| &r.opt_state),
-                            restore.map(|r| &r.weights),
-                        )
-                    })
-                })
-                .collect();
-
-            let mut critical_ms = 0.0f64;
-            let mut total_compute = vec![0.0f64; n];
-            let mut comm = vec![0.0f64; n];
-            let mut opt_bytes = vec![0usize; n];
-            let mut bytes_accum = 0u64;
-            let mut checkpoints = Vec::new();
-            let mut steps_run = 0usize;
-
-            for step in start_step..cfg.steps {
-                let lr = schedule.lr(step);
-                let eval = step.is_multiple_of(eval_every) || step + 1 == cfg.steps;
-                let batch = dataset.sample_batch(cfg.batch_seqs, cfg.seq);
-                for (rank, micro) in split_batch(&batch, n).into_iter().enumerate() {
-                    cmd_txs[rank]
-                        .send(ToWorker::Step {
-                            step,
-                            micro,
-                            lr,
-                            eval,
-                        })
-                        .expect("worker alive");
-                }
-                let mut losses = vec![0.0f32; n];
-                let mut val = None;
-                let mut slowest = 0.0f64;
-                for _ in 0..n {
-                    match rx_out.recv().expect("worker alive") {
-                        FromWorker::StepDone {
-                            rank,
-                            micro_loss,
-                            val_loss,
-                            compute_ms,
-                            comm_ms,
-                            sent_bytes,
-                            opt_bytes: ob,
-                        } => {
-                            losses[rank] = micro_loss;
-                            val = val.or(val_loss);
-                            total_compute[rank] += compute_ms;
-                            comm[rank] += comm_ms;
-                            slowest = slowest.max(compute_ms);
-                            bytes_accum += sent_bytes;
-                            opt_bytes[rank] = ob;
-                        }
-                        FromWorker::StepFailed { rank, err } => {
-                            unreachable!("rank {rank} failed a fault-free run: {err}")
-                        }
-                        _ => unreachable!("only StepDone during a step"),
-                    }
-                }
-                critical_ms += slowest;
-                steps_run += 1;
-                if eval {
-                    train_curve.push((step, fold_mean(&losses)));
-                    val_curve.push((step, val.expect("rank 0 evaluated")));
-                }
-
-                let completed = step + 1;
-                let at_checkpoint = checkpoint_every
-                    .is_some_and(|every| completed.is_multiple_of(every) || completed == cfg.steps);
-                if at_checkpoint {
-                    let image = consolidate_checkpoint(
-                        &cmd_txs,
-                        &rx_out,
-                        &plan,
-                        zero1,
-                        cfg,
-                        completed,
-                        dataset.cursor(),
-                        &train_curve,
-                        &val_curve,
-                    );
-                    checkpoints.push((completed, image));
-                }
-            }
-
-            for tx in &cmd_txs {
-                tx.send(ToWorker::Finish).expect("worker alive");
-            }
-            let mut rank0 = None;
-            for h in handles {
-                if let Some(bundle) = h.join().expect("worker thread") {
-                    rank0 = Some(bundle);
-                }
-            }
-            let (model, store) = rank0.expect("rank 0 returns its replica");
-
-            let denom = (steps_run.max(1) * n) as f64;
-            let formula = wire_bytes(CollKind::AllReduce, (plan.total * 4) as f64, n);
-            let report = ParallelReport {
+    /// Package a finished grid run as the data-parallel outcome.
+    fn outcome(&self, run: Driven, cfg: &PretrainConfig) -> ParallelOutcome {
+        let n = run.topo.dp;
+        let plan = ShardPlan::new(&run.store.tensor_sizes(), n);
+        let acct = run.acct;
+        ParallelOutcome {
+            report: ParallelReport {
                 workers: n,
-                zero1,
-                steps_run,
+                zero1: self.cfg.zero1,
+                steps_run: run.steps_run,
                 param_scalars: plan.total,
                 shard_scalars: plan.shard_scalars(),
-                measured_allreduce_bytes_per_step: bytes_accum as f64 / denom,
-                formula_allreduce_bytes_per_step: formula,
-                critical_compute_ms: critical_ms,
-                total_compute_ms: total_compute,
-                comm_ms: comm,
+                measured_allreduce_bytes_per_step: acct.dp_bytes as f64
+                    / acct.worker_steps.max(1) as f64,
+                formula_allreduce_bytes_per_step: wire_bytes(
+                    CollKind::AllReduce,
+                    (plan.total * 4) as f64,
+                    n,
+                ),
+                critical_compute_ms: acct.critical_ms,
+                total_compute_ms: acct.compute_ms,
+                comm_ms: acct.comm_ms,
                 post_ms: 0.0,
-                opt_state_bytes: opt_bytes,
-            };
-            Ok(ParallelOutcome {
-                pretrained: Pretrained {
-                    model,
-                    store,
-                    tokenizer,
-                    curves: LossCurves {
-                        label: cfg.label(),
-                        train: train_curve,
-                        val: val_curve,
-                    },
-                    config: cfg.clone(),
+                opt_state_bytes: acct.opt_bytes,
+            },
+            pretrained: Pretrained {
+                model: run.model,
+                store: run.store,
+                tokenizer: run.tokenizer,
+                curves: LossCurves {
+                    label: cfg.label(),
+                    train: run.train_curve,
+                    val: run.val_curve,
                 },
-                report,
-                checkpoints,
-            })
-        })
-    }
-}
-
-/// Ask every worker for its optimizer state, merge the shards, and have
-/// rank 0 wrap its weights plus the training-state sections into a v2
-/// checkpoint image — byte-compatible with [`crate::pretrain::Trainer`].
-#[allow(clippy::too_many_arguments)]
-fn consolidate_checkpoint(
-    cmd_txs: &[Sender<ToWorker>],
-    rx_out: &Receiver<FromWorker>,
-    plan: &ShardPlan,
-    zero1: bool,
-    cfg: &PretrainConfig,
-    completed: usize,
-    cursor: u128,
-    train_curve: &[(usize, f32)],
-    val_curve: &[(usize, f32)],
-) -> Vec<u8> {
-    let n = cmd_txs.len();
-    for tx in cmd_txs {
-        tx.send(ToWorker::ExportOpt).expect("worker alive");
-    }
-    let mut shards: Vec<Option<OptimizerState>> = (0..n).map(|_| None).collect();
-    for _ in 0..n {
-        match rx_out.recv().expect("worker alive") {
-            FromWorker::Opt(rank, state) => shards[rank] = Some(state),
-            _ => unreachable!("only Opt replies during consolidation"),
+                config: cfg.clone(),
+            },
+            checkpoints: run.checkpoints,
         }
     }
-    let shards: Vec<OptimizerState> = shards.into_iter().map(|s| s.expect("all ranks")).collect();
-    let merged = if zero1 {
-        OptimizerState::merge_shards(&shards, &plan.owners())
-            .expect("shards cover every parameter consistently")
-    } else {
-        shards.into_iter().next().expect("rank 0 state")
-    };
-    let sections = vec![
-        (SEC_LABEL.to_string(), cfg.label().into_bytes()),
-        (SEC_OPT.to_string(), merged.to_bytes()),
-        (
-            SEC_STEP.to_string(),
-            (completed as u64).to_le_bytes().to_vec(),
-        ),
-        (SEC_CURSOR.to_string(), cursor.to_le_bytes().to_vec()),
-        (
-            SEC_CURVES.to_string(),
-            crate::pretrain::encode_curves(train_curve, val_curve),
-        ),
-    ];
-    cmd_txs[0]
-        .send(ToWorker::Assemble(sections))
-        .expect("worker alive");
-    match rx_out.recv().expect("worker alive") {
-        FromWorker::Image(bytes) => bytes,
-        _ => unreachable!("only an Image reply after Assemble"),
-    }
-}
-
-/// Training state decoded from a v2 checkpoint for a DP resume.
-struct ResumeState {
-    weights: ParamStore,
-    opt_state: OptimizerState,
-    step: usize,
-    cursor: u128,
-    train_curve: Vec<(usize, f32)>,
-    val_curve: Vec<(usize, f32)>,
-}
-
-fn decode_resume(cfg: &PretrainConfig, bytes: &[u8]) -> Result<ResumeState, ResumeError> {
-    let ck = checkpoint::load_full(bytes).map_err(ResumeError::Checkpoint)?;
-    let label = ck
-        .section(SEC_LABEL)
-        .ok_or(ResumeError::MissingSection(SEC_LABEL))?;
-    let expected = cfg.label();
-    if label != expected.as_bytes() {
-        return Err(ResumeError::ConfigMismatch {
-            expected,
-            found: String::from_utf8_lossy(label).into_owned(),
-        });
-    }
-    let opt_state = OptimizerState::from_bytes(
-        ck.section(SEC_OPT)
-            .ok_or(ResumeError::MissingSection(SEC_OPT))?,
-    )
-    .ok_or(ResumeError::Corrupt(SEC_OPT))?;
-    let step = u64::from_le_bytes(
-        ck.section(SEC_STEP)
-            .ok_or(ResumeError::MissingSection(SEC_STEP))?
-            .try_into()
-            .map_err(|_| ResumeError::Corrupt(SEC_STEP))?,
-    ) as usize;
-    let cursor = u128::from_le_bytes(
-        ck.section(SEC_CURSOR)
-            .ok_or(ResumeError::MissingSection(SEC_CURSOR))?
-            .try_into()
-            .map_err(|_| ResumeError::Corrupt(SEC_CURSOR))?,
-    );
-    let (train_curve, val_curve) = crate::pretrain::decode_curves(
-        ck.section(SEC_CURVES)
-            .ok_or(ResumeError::MissingSection(SEC_CURVES))?,
-    )
-    .ok_or(ResumeError::Corrupt(SEC_CURVES))?;
-    Ok(ResumeState {
-        weights: ck.store,
-        opt_state,
-        step,
-        cursor,
-        train_curve,
-        val_curve,
-    })
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! Executed fault tolerance for data-parallel training.
 //!
-//! PR 2's `frontier_sim::faults` *models* failure-prone training;
-//! this module *executes* it. A seeded [`FaultPlan`] kills or stalls
+//! `frontier_sim::faults` *models* failure-prone training; this module
+//! *executes* it on the grid coordinator ([`super::topology`]), which
+//! every threaded run shares. A seeded [`FaultPlan`] kills or stalls
 //! specific worker threads at specific steps, mirroring the MTBF and
 //! straggler distributions of [`matgpt_frontier_sim::faults::FaultModel`].
 //! The run survives through three mechanisms:
@@ -35,24 +36,15 @@
 //! model-derived plan and checks the measured goodput optimum against
 //! `FaultModel::daly_interval_s` — the executed-vs-predicted claim.
 
-use super::{
-    consolidate_checkpoint, decode_resume, fold_mean, split_batch, worker_main, CollectiveError,
-    DataParallel, FromWorker, ParallelOutcome, ParallelReport, ResumeState, Ring, ShardPlan,
-    ToWorker, WorkerSeat,
-};
-use crate::pretrain::{build_model, train_tokenizer, LossCurves, Pretrained};
+use super::topology::Failure;
+use super::{DataParallel, ParallelOutcome, ResumeError};
 use crate::recipes::PretrainConfig;
-use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
-use matgpt_corpus::{Batch, TokenDataset};
-use matgpt_frontier_sim::collectives::{wire_bytes, Collective};
 use matgpt_frontier_sim::faults::FaultModel;
 use matgpt_obs::{pids, Histogram, Registry, Span};
-use matgpt_optim::{CosineSchedule, LrSchedule};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Fault plan: which worker dies or stalls, and when.
@@ -61,9 +53,8 @@ use std::time::{Duration, Instant};
 /// What an injected fault does to its worker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
-    /// The worker thread dies mid-step: gradients computed, ring
-    /// endpoints dropped before its first send — peers observe a
-    /// vanished rank.
+    /// The worker thread dies at the start of the step, its wires
+    /// dropped before its first send — peers observe a vanished rank.
     Kill,
     /// The worker sleeps `ms` before its collective — a transient
     /// straggler if shorter than the collective timeout, operationally
@@ -396,34 +387,8 @@ pub struct ResilientOutcome {
 }
 
 // ---------------------------------------------------------------------------
-// The resilient driver.
+// Recovery.
 // ---------------------------------------------------------------------------
-
-/// How one epoch (worker-pool lifetime) ended.
-enum EpochEnd {
-    Complete {
-        model: matgpt_model::GptModel,
-        store: matgpt_tensor::ParamStore,
-    },
-    Failed {
-        at_step: usize,
-        dead: Vec<usize>,
-        cause: FailureCause,
-        detected: Instant,
-    },
-}
-
-/// Cross-epoch accounting the driver folds into the final report.
-#[derive(Default)]
-struct Agg {
-    steps_executed: usize,
-    committed_rank_steps: u64,
-    bytes_accum: u64,
-    critical_ms: f64,
-    total_compute: Vec<f64>,
-    comm: Vec<f64>,
-    opt_bytes: Vec<usize>,
-}
 
 impl DataParallel {
     /// Train under injected faults, surviving them: bounded-timeout
@@ -441,503 +406,113 @@ impl DataParallel {
         cfg: &PretrainConfig,
         res: ResilienceConfig,
     ) -> ResilientOutcome {
-        let n0 = self.cfg.workers;
-        let zero1 = self.cfg.zero1;
-        assert!(
-            cfg.batch_seqs.is_multiple_of(n0),
-            "global batch {} must divide across {n0} workers",
-            cfg.batch_seqs
-        );
-        let snapshot_every = res.snapshot_every.max(1);
-        let tokenizer = train_tokenizer(cfg.tokenizer, cfg.vocab, documents);
-        let vocab = tokenizer.vocab_size();
-        let mut dataset = TokenDataset::new(documents, tokenizer.as_ref(), 0.08, cfg.seed ^ 0xda7a);
-        let initial_cursor = dataset.cursor();
-        let sizes = {
-            let (_, probe) = build_model(cfg, vocab);
-            probe.tensor_sizes()
-        };
-        let val_batches = Arc::new(dataset.val_batches(2, cfg.seq));
-        let faults = Arc::new(res.faults.clone());
-
-        let reg = Registry::global();
-        let faults_lost = reg.counter_with(
-            "parallel_faults_total",
-            &[("kind", "rank_lost")],
-            "detected worker failures: dead ranks",
-        );
-        let faults_stalled = reg.counter_with(
-            "parallel_faults_total",
-            &[("kind", "stalled")],
-            "detected worker failures: stalls past the bounded waits",
-        );
-        let recovery_ms_hist = reg.histogram(
-            "parallel_recovery_ms",
-            "failure detection to rollback-complete wall time",
-            &Histogram::LATENCY_MS_BOUNDS,
-        );
-        let lost_tokens_ctr = reg.counter(
-            "parallel_lost_work_tokens",
-            "training tokens discarded by failure rollbacks",
-        );
-
-        let mut n = n0;
-        let mut last_snapshot: Option<(usize, Vec<u8>)> = None;
-        let mut snapshots: Vec<(usize, Vec<u8>)> = Vec::new();
-        let mut train_curve: Vec<(usize, f32)> = Vec::new();
-        let mut val_curve: Vec<(usize, f32)> = Vec::new();
-        let mut agg = Agg {
-            total_compute: vec![0.0; n0],
-            comm: vec![0.0; n0],
-            ..Agg::default()
-        };
-        let mut resilience = ResilienceReport {
-            faults_planned: faults.len(),
-            ..ResilienceReport::default()
-        };
-
-        let (model, store) = loop {
-            // Roll back (or start fresh): decode the snapshot, reposition
-            // the loader, truncate the curves to the snapshot's.
-            let restore: Option<ResumeState> = last_snapshot.as_ref().map(|(_, bytes)| {
-                decode_resume(cfg, bytes).expect("self-produced snapshot decodes")
-            });
-            let start_step = match &restore {
-                Some(r) => {
-                    dataset.seek(r.cursor);
-                    train_curve = r.train_curve.clone();
-                    val_curve = r.val_curve.clone();
-                    r.step
-                }
-                None => {
-                    dataset.seek(initial_cursor);
-                    train_curve.clear();
-                    val_curve.clear();
-                    0
-                }
-            };
-
-            let end = run_epoch(EpochParams {
-                cfg,
-                zero1,
-                vocab,
-                n,
-                sizes: &sizes,
-                val_batches: &val_batches,
-                faults: &faults,
-                res: &res,
-                snapshot_every,
-                restore: restore.as_ref(),
-                start_step,
-                dataset: &mut dataset,
-                train_curve: &mut train_curve,
-                val_curve: &mut val_curve,
-                snapshots: &mut snapshots,
-                last_snapshot: &mut last_snapshot,
-                agg: &mut agg,
-                snapshots_taken: &mut resilience.snapshots_taken,
-            });
-
-            match end {
-                EpochEnd::Complete { model, store } => break (model, store),
-                EpochEnd::Failed {
-                    at_step,
-                    dead,
-                    cause,
-                    detected,
-                } => {
-                    let _roll = Span::enter(pids::PARALLEL, "dp", "rollback");
-                    match cause {
-                        FailureCause::RankLost => faults_lost.inc(),
-                        FailureCause::Stalled => faults_stalled.inc(),
-                    }
-                    // Black-box dump the moment the failure is
-                    // classified: the victim's last collective events
-                    // are still in its flight ring (the registry keeps
-                    // dead threads' rings readable).
-                    let victims: Vec<u64> = dead.iter().map(|&r| r as u64).collect();
-                    let pm = matgpt_obs::flight::Postmortem::capture(
-                        &format!("{cause:?} at step {at_step} (dead ranks {dead:?})"),
-                        &victims,
-                        256,
-                        &[Registry::global()],
-                    );
-                    if let Ok(dir) = std::env::var("MATGPT_POSTMORTEM_DIR") {
-                        let path = std::path::Path::new(&dir)
-                            .join(format!("recovery-{}", resilience.recoveries.len()));
-                        if let Err(e) = pm.write_to(&path) {
-                            eprintln!("postmortem write to {} failed: {e}", path.display());
-                        }
-                    }
-                    resilience.postmortems.push(pm);
-                    let rolled_back_to = last_snapshot.as_ref().map_or(0, |(s, _)| *s);
-                    let lost_steps = at_step - rolled_back_to;
-                    let lost_tokens = (lost_steps * cfg.batch_seqs * cfg.seq) as u64;
-                    lost_tokens_ctr.add(lost_tokens);
-                    resilience.lost_steps += lost_steps;
-                    resilience.lost_work_tokens += lost_tokens;
-
-                    let workers_before = n;
-                    let mut fallback = false;
-                    let target = match res.policy {
-                        RecoveryPolicy::Respawn => n,
-                        RecoveryPolicy::Shrink => {
-                            let t = n.saturating_sub(dead.len());
-                            if !dead.is_empty() && t >= 1 && cfg.batch_seqs.is_multiple_of(t) {
-                                t
-                            } else {
-                                fallback = true;
-                                n
-                            }
-                        }
-                    };
-                    if fallback {
-                        resilience.respawn_fallbacks += 1;
-                    }
-                    if target != n {
-                        let _reshard = Span::enter(pids::PARALLEL, "dp", "reshard");
-                        n = target;
-                    }
-
-                    let recovery_ms = detected.elapsed().as_secs_f64() * 1e3;
-                    recovery_ms_hist.observe(recovery_ms);
-                    resilience.recoveries.push(RecoveryEvent {
-                        detected_at_step: at_step,
-                        dead_ranks: dead,
-                        cause,
-                        rolled_back_to,
-                        workers_before,
-                        workers_after: n,
-                        lost_steps,
-                        recovery_ms,
-                    });
-                }
-            }
-        };
-
-        resilience.faults_fired = faults.fired();
-        resilience.final_workers = n;
-        resilience.steps_executed = agg.steps_executed;
-
-        let plan = ShardPlan::new(&sizes, n);
-        let formula = wire_bytes(Collective::AllReduce, (plan.total * 4) as f64, n);
-        let denom = agg.committed_rank_steps.max(1) as f64;
-        let report = ParallelReport {
-            workers: n,
-            zero1,
-            steps_run: cfg.steps,
-            param_scalars: plan.total,
-            shard_scalars: plan.shard_scalars(),
-            measured_allreduce_bytes_per_step: agg.bytes_accum as f64 / denom,
-            formula_allreduce_bytes_per_step: formula,
-            critical_compute_ms: agg.critical_ms,
-            total_compute_ms: agg.total_compute,
-            comm_ms: agg.comm,
-            post_ms: 0.0,
-            opt_state_bytes: agg.opt_bytes,
-        };
+        let mut run = self
+            .run_grid(documents, cfg, None, None, Some(res))
+            .unwrap_or_else(|e: ResumeError| unreachable!("no resume image: {e}"));
+        let resilience = std::mem::take(&mut run.resilience);
         ResilientOutcome {
-            outcome: ParallelOutcome {
-                pretrained: Pretrained {
-                    model,
-                    store,
-                    tokenizer,
-                    curves: LossCurves {
-                        label: cfg.label(),
-                        train: train_curve,
-                        val: val_curve,
-                    },
-                    config: cfg.clone(),
-                },
-                report,
-                checkpoints: snapshots,
-            },
+            outcome: self.outcome(run, cfg),
             resilience,
         }
     }
 }
 
-/// Everything one epoch needs, bundled to keep the call site readable.
-struct EpochParams<'a> {
-    cfg: &'a PretrainConfig,
-    zero1: bool,
-    vocab: usize,
+/// Account for one detected failure and decide the next world size:
+/// bump the fault metrics, dump a flight-recorder postmortem, charge
+/// the lost work back to the `rolled_back_to` snapshot, and apply
+/// `policy` to the `n`-worker pool. Returns the world size the next
+/// pool runs at.
+pub(super) fn recover(
+    report: &mut ResilienceReport,
+    failure: Failure,
+    policy: RecoveryPolicy,
     n: usize,
-    sizes: &'a [usize],
-    val_batches: &'a Arc<Vec<Batch>>,
-    faults: &'a Arc<FaultPlan>,
-    res: &'a ResilienceConfig,
-    snapshot_every: usize,
-    restore: Option<&'a ResumeState>,
-    start_step: usize,
-    dataset: &'a mut TokenDataset,
-    train_curve: &'a mut Vec<(usize, f32)>,
-    val_curve: &'a mut Vec<(usize, f32)>,
-    snapshots: &'a mut Vec<(usize, Vec<u8>)>,
-    last_snapshot: &'a mut Option<(usize, Vec<u8>)>,
-    agg: &'a mut Agg,
-    snapshots_taken: &'a mut usize,
-}
-
-/// One worker-pool lifetime: spawn `n` workers (restored from the
-/// snapshot when there is one), run steps until completion or until a
-/// failure is detected, then tear the pool down. The step loop is the
-/// same numerics as [`DataParallel::run`] — which is what makes the
-/// post-recovery bit-identity contract hold.
-fn run_epoch(p: EpochParams<'_>) -> EpochEnd {
-    let EpochParams {
-        cfg,
-        zero1,
-        vocab,
-        n,
-        sizes,
-        val_batches,
-        faults,
-        res,
-        snapshot_every,
-        restore,
-        start_step,
-        dataset,
-        train_curve,
-        val_curve,
-        snapshots,
-        last_snapshot,
-        agg,
-        snapshots_taken,
-    } = p;
-    let plan = Arc::new(ShardPlan::new(sizes, n));
-    let schedule = CosineSchedule::paper(cfg.lr, cfg.steps);
-    let eval_every = (cfg.steps / 10).max(1);
-    let timeout = Duration::from_millis(res.collective_timeout_ms.max(1));
-    let grace = Duration::from_millis(res.grace_ms.max(1));
-    let step_budget = Duration::from_millis(
-        res.collective_timeout_ms.max(1) + res.heartbeat_stale_ms.max(1) + 1_000,
-    );
-
-    let rings = Ring::build(n, timeout);
-    let beats = Arc::new(Heartbeats::new(n));
-    let (tx_out, rx_out) = unbounded::<FromWorker>();
-    let mut cmd_txs: Vec<Sender<ToWorker>> = Vec::with_capacity(n);
-    let mut seats: Vec<WorkerSeat> = Vec::with_capacity(n);
-    for (rank, ring) in rings.into_iter().enumerate() {
-        let (tx_cmd, rx_cmd) = unbounded::<ToWorker>();
-        cmd_txs.push(tx_cmd);
-        seats.push(WorkerSeat {
-            rank,
-            ring,
-            rx: rx_cmd,
-            tx: tx_out.clone(),
-            faults: Arc::clone(faults),
-            beats: Arc::clone(&beats),
-        });
+    rolled_back_to: usize,
+    cfg: &PretrainConfig,
+) -> usize {
+    let _roll = Span::enter(pids::PARALLEL, "dp", "rollback");
+    let Failure {
+        at_step,
+        dead,
+        cause,
+        detected,
+        ..
+    } = failure;
+    let reg = Registry::global();
+    match cause {
+        FailureCause::RankLost => reg.counter_with(
+            "parallel_faults_total",
+            &[("kind", "rank_lost")],
+            "detected worker failures: dead ranks",
+        ),
+        FailureCause::Stalled => reg.counter_with(
+            "parallel_faults_total",
+            &[("kind", "stalled")],
+            "detected worker failures: stalls past the bounded waits",
+        ),
     }
-    drop(tx_out);
+    .inc();
+    // Black-box dump the moment the failure is classified: the
+    // victim's last collective events are still in its flight ring
+    // (the registry keeps dead threads' rings readable).
+    let victims: Vec<u64> = dead.iter().map(|&r| r as u64).collect();
+    let pm = matgpt_obs::flight::Postmortem::capture(
+        &format!("{cause:?} at step {at_step} (dead ranks {dead:?})"),
+        &victims,
+        256,
+        &[Registry::global()],
+    );
+    if let Ok(dir) = std::env::var("MATGPT_POSTMORTEM_DIR") {
+        let path = std::path::Path::new(&dir).join(format!("recovery-{}", report.recoveries.len()));
+        if let Err(e) = pm.write_to(&path) {
+            eprintln!("postmortem write to {} failed: {e}", path.display());
+        }
+    }
+    report.postmortems.push(pm);
+    let lost_steps = at_step - rolled_back_to;
+    let lost_tokens = (lost_steps * cfg.batch_seqs * cfg.seq) as u64;
+    reg.counter(
+        "parallel_lost_work_tokens",
+        "training tokens discarded by failure rollbacks",
+    )
+    .add(lost_tokens);
+    report.lost_steps += lost_steps;
+    report.lost_work_tokens += lost_tokens;
 
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = seats
-            .into_iter()
-            .map(|seat| {
-                let plan = Arc::clone(&plan);
-                let val_batches = Arc::clone(val_batches);
-                scope.spawn(move || {
-                    worker_main(
-                        seat,
-                        cfg,
-                        zero1,
-                        vocab,
-                        &plan,
-                        &val_batches,
-                        restore.map(|r| &r.opt_state),
-                        restore.map(|r| &r.weights),
-                    )
-                })
-            })
-            .collect();
-
-        // Tear the pool down after a failure: dropping the command
-        // channels ends idle workers; joins drain the rest (a stalled
-        // worker finishes its sleep, hits a dead ring, and exits).
-        let teardown = |cmd_txs: Vec<Sender<ToWorker>>, handles: Vec<_>| {
-            drop(cmd_txs);
-            for h in handles {
-                let _: Result<_, _> = std::thread::ScopedJoinHandle::join(h);
-            }
-        };
-
-        for step in start_step..cfg.steps {
-            let lr = schedule.lr(step);
-            let eval = step.is_multiple_of(eval_every) || step + 1 == cfg.steps;
-            let batch = dataset.sample_batch(cfg.batch_seqs, cfg.seq);
-            agg.steps_executed += 1;
-            let mut send_dead: Vec<usize> = Vec::new();
-            for (rank, micro) in split_batch(&batch, n).into_iter().enumerate() {
-                let cmd = ToWorker::Step {
-                    step,
-                    micro,
-                    lr,
-                    eval,
-                };
-                if cmd_txs[rank].send(cmd).is_err() {
-                    send_dead.push(rank);
-                }
-            }
-            if !send_dead.is_empty() {
-                let _detect = Span::enter(pids::PARALLEL, "dp", "fault-detect");
-                let detected = Instant::now();
-                teardown(cmd_txs, handles);
-                return EpochEnd::Failed {
-                    at_step: step,
-                    dead: send_dead,
-                    cause: FailureCause::RankLost,
-                    detected,
-                };
-            }
-
-            // Collect the step's replies under a bounded deadline. A
-            // missing rank whose heartbeat is fresh extends the wait (a
-            // slow worker is not a dead one); a stale heartbeat, a
-            // disconnect, or a peer-reported error starts the grace
-            // drain, after which whoever never responded is dead.
-            let mut responded = vec![false; n];
-            let mut pending = n;
-            let mut failures: Vec<(usize, CollectiveError)> = Vec::new();
-            let mut first_bad: Option<Instant> = None;
-            let mut losses = vec![0.0f32; n];
-            let mut val = None;
-            let mut slowest = 0.0f64;
-            let mut step_bytes = 0u64;
-            let mut step_compute = vec![0.0f64; n];
-            let mut step_comm = vec![0.0f64; n];
-            let mut step_opt = vec![0usize; n];
-            let mut deadline = Instant::now() + step_budget;
-            while pending > 0 {
-                let limit = match first_bad {
-                    Some(t0) => {
-                        let waited = t0.elapsed();
-                        if waited >= grace {
-                            break;
-                        }
-                        Instant::now() + (grace - waited)
-                    }
-                    None => deadline,
-                };
-                match rx_out.recv_deadline(limit) {
-                    Ok(FromWorker::StepDone {
-                        rank,
-                        micro_loss,
-                        val_loss,
-                        compute_ms,
-                        comm_ms,
-                        sent_bytes,
-                        opt_bytes,
-                    }) => {
-                        responded[rank] = true;
-                        pending -= 1;
-                        losses[rank] = micro_loss;
-                        val = val.or(val_loss);
-                        slowest = slowest.max(compute_ms);
-                        step_bytes += sent_bytes;
-                        step_compute[rank] = compute_ms;
-                        step_comm[rank] = comm_ms;
-                        step_opt[rank] = opt_bytes;
-                    }
-                    Ok(FromWorker::StepFailed { rank, err }) => {
-                        responded[rank] = true;
-                        pending -= 1;
-                        failures.push((rank, err));
-                        first_bad.get_or_insert_with(Instant::now);
-                    }
-                    Ok(_) => unreachable!("only step replies during a step"),
-                    // Every worker dropped its reply channel: nobody
-                    // left to wait for.
-                    Err(RecvTimeoutError::Disconnected) => break,
-                    Err(RecvTimeoutError::Timeout) => {
-                        if first_bad.is_some() {
-                            break;
-                        }
-                        let stale = (0..n).any(|r| {
-                            !responded[r]
-                                && beats.age_ms(r).unwrap_or(u64::MAX) > res.heartbeat_stale_ms
-                        });
-                        if stale {
-                            // silent death: nobody will speak for it
-                            break;
-                        }
-                        // everyone missing is still beating — extend
-                        deadline =
-                            Instant::now() + Duration::from_millis(res.heartbeat_stale_ms.max(250));
-                    }
-                }
-            }
-
-            if pending > 0 || !failures.is_empty() {
-                let _detect = Span::enter(pids::PARALLEL, "dp", "fault-detect");
-                let detected = Instant::now();
-                let dead: Vec<usize> = (0..n).filter(|&r| !responded[r]).collect();
-                let cause = if failures
-                    .iter()
-                    .any(|(_, e)| matches!(e, CollectiveError::RankLost { .. }))
-                    || !dead.is_empty() && failures.is_empty()
-                {
-                    FailureCause::RankLost
-                } else {
-                    FailureCause::Stalled
-                };
-                teardown(cmd_txs, handles);
-                return EpochEnd::Failed {
-                    at_step: step,
-                    dead,
-                    cause,
-                    detected,
-                };
-            }
-
-            // Committed: fold the step into the run accounting.
-            agg.critical_ms += slowest;
-            agg.bytes_accum += step_bytes;
-            agg.committed_rank_steps += n as u64;
-            for r in 0..n {
-                agg.total_compute[r] += step_compute[r];
-                agg.comm[r] += step_comm[r];
-            }
-            agg.opt_bytes = step_opt;
-            if eval {
-                train_curve.push((step, fold_mean(&losses)));
-                val_curve.push((step, val.expect("rank 0 evaluated")));
-            }
-
-            let completed = step + 1;
-            if completed.is_multiple_of(snapshot_every) || completed == cfg.steps {
-                let _snap = Span::enter(pids::PARALLEL, "dp", "snapshot");
-                let image = consolidate_checkpoint(
-                    &cmd_txs,
-                    &rx_out,
-                    &plan,
-                    zero1,
-                    cfg,
-                    completed,
-                    dataset.cursor(),
-                    train_curve,
-                    val_curve,
-                );
-                snapshots.push((completed, image.clone()));
-                *last_snapshot = Some((completed, image));
-                *snapshots_taken += 1;
+    let target = match policy {
+        RecoveryPolicy::Respawn => n,
+        RecoveryPolicy::Shrink => {
+            let t = n.saturating_sub(dead.len());
+            if !dead.is_empty() && t >= 1 && cfg.batch_seqs.is_multiple_of(t) {
+                t
+            } else {
+                report.respawn_fallbacks += 1;
+                n
             }
         }
+    };
+    if target != n {
+        let _reshard = Span::enter(pids::PARALLEL, "dp", "reshard");
+    }
 
-        for tx in &cmd_txs {
-            tx.send(ToWorker::Finish).expect("worker alive at finish");
-        }
-        let mut rank0 = None;
-        for h in handles {
-            if let Ok(Some(bundle)) = h.join() {
-                rank0 = Some(bundle);
-            }
-        }
-        let (model, store) = rank0.expect("rank 0 returns its replica");
-        EpochEnd::Complete { model, store }
-    })
+    let recovery_ms = detected.elapsed().as_secs_f64() * 1e3;
+    reg.histogram(
+        "parallel_recovery_ms",
+        "failure detection to rollback-complete wall time",
+        &Histogram::LATENCY_MS_BOUNDS,
+    )
+    .observe(recovery_ms);
+    report.recoveries.push(RecoveryEvent {
+        detected_at_step: at_step,
+        dead_ranks: dead,
+        cause,
+        rolled_back_to,
+        workers_before: n,
+        workers_after: target,
+        lost_steps,
+        recovery_ms,
+    });
+    target
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@ use matgpt_model::{GptConfig, GptModel};
 use matgpt_obs::{pids, Counter, Gauge, Registry, Span};
 use matgpt_optim::{Adam, AdamConfig, CosineSchedule, Lamb, LrSchedule, Optimizer, OptimizerState};
 use matgpt_tensor::checkpoint::{self, CheckpointError};
+use matgpt_tensor::precision::with_compute_precision;
 use matgpt_tensor::{init, ParamStore, Tape};
 use matgpt_tokenizer::{BpeTokenizer, Tokenizer, TokenizerKind, UnigramTokenizer};
 use serde::{Deserialize, Serialize};
@@ -205,13 +206,14 @@ impl std::fmt::Display for ResumeError {
 
 impl std::error::Error for ResumeError {}
 
-// Section names inside the v2 checkpoint container (shared with
-// `crate::parallel`, whose checkpoints are the same format).
-pub(crate) const SEC_LABEL: &str = "label";
-pub(crate) const SEC_OPT: &str = "opt_state";
-pub(crate) const SEC_STEP: &str = "lr_step";
-pub(crate) const SEC_CURSOR: &str = "data_cursor";
-pub(crate) const SEC_CURVES: &str = "curves";
+// Section names inside the v2 checkpoint container. `crate::parallel`
+// writes and reads the same format through `checkpoint_sections` and
+// `decode_resume`.
+const SEC_LABEL: &str = "label";
+const SEC_OPT: &str = "opt_state";
+const SEC_STEP: &str = "lr_step";
+const SEC_CURSOR: &str = "data_cursor";
+const SEC_CURVES: &str = "curves";
 
 /// Build the (scaled-down) model and parameter store a pre-training
 /// config describes, seeded deterministically. Shared between
@@ -386,44 +388,31 @@ impl Trainer {
         let step = self.step;
         let cfg = &self.cfg;
         let eval_every = (cfg.steps / 10).max(1);
-        let mixed = cfg.precision != matgpt_tensor::Precision::F32;
 
         let batch = {
             let _s = Span::enter(pids::TRAINER, "train", "data-load");
             self.dataset.sample_batch(cfg.batch_seqs, cfg.seq)
         };
         self.store.zero_grads();
-        // mixed-precision emulation: compute forward/backward on weights
-        // rounded to the 16-bit grid, but keep fp32 master weights for the
-        // optimizer update — exactly the real recipe's structure
-        let masters = if mixed {
-            let snap = matgpt_tensor::precision::snapshot_values(&self.store);
-            matgpt_tensor::precision::round_store(&mut self.store, cfg.precision);
-            Some(snap)
-        } else {
-            None
-        };
-        let mut tape = Tape::new();
-        let loss = {
-            let _s = Span::enter(pids::TRAINER, "train", "forward");
-            self.model.loss(
-                &mut tape,
-                &self.store,
-                &batch.inputs,
-                &batch.targets,
-                batch.batch,
-                batch.seq,
-            )
-        };
-        let train_loss = tape.value(loss).item();
-        {
+        let model = &self.model;
+        let train_loss = with_compute_precision(&mut self.store, cfg.precision, |store| {
+            let mut tape = Tape::new();
+            let loss = {
+                let _s = Span::enter(pids::TRAINER, "train", "forward");
+                model.loss(
+                    &mut tape,
+                    store,
+                    &batch.inputs,
+                    &batch.targets,
+                    batch.batch,
+                    batch.seq,
+                )
+            };
             let _s = Span::enter(pids::TRAINER, "train", "backward");
             tape.backward(loss);
-            tape.accumulate_param_grads(&mut self.store);
-        }
-        if let Some(snap) = masters {
-            matgpt_tensor::precision::restore_values(&mut self.store, &snap);
-        }
+            tape.accumulate_param_grads(store);
+            tape.value(loss).item()
+        });
         let lr = self.schedule.lr(step);
         {
             let _s = Span::enter(pids::TRAINER, "train", "optimizer");
@@ -465,22 +454,14 @@ impl Trainer {
     /// cursor and the curves recorded so far.
     pub fn checkpoint(&self) -> Vec<u8> {
         let _span = Span::enter(pids::TRAINER, "train", "checkpoint");
-        let sections = vec![
-            (SEC_LABEL.to_string(), self.cfg.label().into_bytes()),
-            (SEC_OPT.to_string(), self.opt.export_state().to_bytes()),
-            (
-                SEC_STEP.to_string(),
-                (self.step as u64).to_le_bytes().to_vec(),
-            ),
-            (
-                SEC_CURSOR.to_string(),
-                self.dataset.cursor().to_le_bytes().to_vec(),
-            ),
-            (
-                SEC_CURVES.to_string(),
-                encode_curves(&self.train_curve, &self.val_curve),
-            ),
-        ];
+        let sections = checkpoint_sections(
+            &self.cfg,
+            &self.opt.export_state(),
+            self.step,
+            self.dataset.cursor(),
+            &self.train_curve,
+            &self.val_curve,
+        );
         checkpoint::save_with_sections(&self.store, &sections).to_vec()
     }
 
@@ -503,53 +484,14 @@ impl Trainer {
         tokenizer: Box<dyn Tokenizer>,
         bytes: &[u8],
     ) -> Result<Self, ResumeError> {
-        let ck = checkpoint::load_full(bytes).map_err(ResumeError::Checkpoint)?;
-        let label = ck
-            .section(SEC_LABEL)
-            .ok_or(ResumeError::MissingSection(SEC_LABEL))?;
-        let expected = cfg.label();
-        if label != expected.as_bytes() {
-            return Err(ResumeError::ConfigMismatch {
-                expected,
-                found: String::from_utf8_lossy(label).into_owned(),
-            });
-        }
-        let opt_state = OptimizerState::from_bytes(
-            ck.section(SEC_OPT)
-                .ok_or(ResumeError::MissingSection(SEC_OPT))?,
-        )
-        .ok_or(ResumeError::Corrupt(SEC_OPT))?;
-        let step = u64::from_le_bytes(
-            ck.section(SEC_STEP)
-                .ok_or(ResumeError::MissingSection(SEC_STEP))?
-                .try_into()
-                .map_err(|_| ResumeError::Corrupt(SEC_STEP))?,
-        ) as usize;
-        let cursor = u128::from_le_bytes(
-            ck.section(SEC_CURSOR)
-                .ok_or(ResumeError::MissingSection(SEC_CURSOR))?
-                .try_into()
-                .map_err(|_| ResumeError::Corrupt(SEC_CURSOR))?,
-        );
-        let (train_curve, val_curve) = decode_curves(
-            ck.section(SEC_CURVES)
-                .ok_or(ResumeError::MissingSection(SEC_CURVES))?,
-        )
-        .ok_or(ResumeError::Corrupt(SEC_CURVES))?;
-
+        let state = decode_resume(cfg, bytes)?;
         let mut t = Self::with_tokenizer(documents, cfg, tokenizer);
-        let restored = checkpoint::restore_into(&mut t.store, &ck.store);
-        if restored != t.store.len() {
-            return Err(ResumeError::ParamMismatch {
-                restored,
-                expected: t.store.len(),
-            });
-        }
-        t.opt.import_state(opt_state);
-        t.step = step;
-        t.dataset.seek(cursor);
-        t.train_curve = train_curve;
-        t.val_curve = val_curve;
+        state.restore_weights(&mut t.store)?;
+        t.opt.import_state(state.opt_state);
+        t.step = state.step;
+        t.dataset.seek(state.cursor);
+        t.train_curve = state.train_curve;
+        t.val_curve = state.val_curve;
         Ok(t)
     }
 
@@ -570,9 +512,107 @@ impl Trainer {
     }
 }
 
+/// The training-state sections of a v2 checkpoint (everything but the
+/// weights): config label, optimizer moments, LR-schedule step,
+/// data-loader cursor and the curves so far.
+pub(crate) fn checkpoint_sections(
+    cfg: &PretrainConfig,
+    opt: &OptimizerState,
+    step: usize,
+    cursor: u128,
+    train_curve: &[(usize, f32)],
+    val_curve: &[(usize, f32)],
+) -> Vec<(String, Vec<u8>)> {
+    vec![
+        (SEC_LABEL.to_string(), cfg.label().into_bytes()),
+        (SEC_OPT.to_string(), opt.to_bytes()),
+        (SEC_STEP.to_string(), (step as u64).to_le_bytes().to_vec()),
+        (SEC_CURSOR.to_string(), cursor.to_le_bytes().to_vec()),
+        (
+            SEC_CURVES.to_string(),
+            encode_curves(train_curve, val_curve),
+        ),
+    ]
+}
+
+/// The training state a v2 checkpoint carries, decoded and checked
+/// against the config it is resumed under.
+pub(crate) struct ResumeState {
+    pub(crate) weights: ParamStore,
+    pub(crate) opt_state: OptimizerState,
+    pub(crate) step: usize,
+    pub(crate) cursor: u128,
+    pub(crate) train_curve: Vec<(usize, f32)>,
+    pub(crate) val_curve: Vec<(usize, f32)>,
+}
+
+impl ResumeState {
+    /// Copy the checkpointed weights into a freshly built `store`;
+    /// every tensor must be covered.
+    pub(crate) fn restore_weights(&self, store: &mut ParamStore) -> Result<(), ResumeError> {
+        let restored = checkpoint::restore_into(store, &self.weights);
+        if restored != store.len() {
+            return Err(ResumeError::ParamMismatch {
+                restored,
+                expected: store.len(),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Decode a [`Trainer::checkpoint`] image (or a data-parallel one,
+/// which has the same layout) for a resume under `cfg`.
+pub(crate) fn decode_resume(
+    cfg: &PretrainConfig,
+    bytes: &[u8],
+) -> Result<ResumeState, ResumeError> {
+    let ck = checkpoint::load_full(bytes).map_err(ResumeError::Checkpoint)?;
+    let label = ck
+        .section(SEC_LABEL)
+        .ok_or(ResumeError::MissingSection(SEC_LABEL))?;
+    let expected = cfg.label();
+    if label != expected.as_bytes() {
+        return Err(ResumeError::ConfigMismatch {
+            expected,
+            found: String::from_utf8_lossy(label).into_owned(),
+        });
+    }
+    let opt_state = OptimizerState::from_bytes(
+        ck.section(SEC_OPT)
+            .ok_or(ResumeError::MissingSection(SEC_OPT))?,
+    )
+    .ok_or(ResumeError::Corrupt(SEC_OPT))?;
+    let step = u64::from_le_bytes(
+        ck.section(SEC_STEP)
+            .ok_or(ResumeError::MissingSection(SEC_STEP))?
+            .try_into()
+            .map_err(|_| ResumeError::Corrupt(SEC_STEP))?,
+    ) as usize;
+    let cursor = u128::from_le_bytes(
+        ck.section(SEC_CURSOR)
+            .ok_or(ResumeError::MissingSection(SEC_CURSOR))?
+            .try_into()
+            .map_err(|_| ResumeError::Corrupt(SEC_CURSOR))?,
+    );
+    let (train_curve, val_curve) = decode_curves(
+        ck.section(SEC_CURVES)
+            .ok_or(ResumeError::MissingSection(SEC_CURVES))?,
+    )
+    .ok_or(ResumeError::Corrupt(SEC_CURVES))?;
+    Ok(ResumeState {
+        weights: ck.store,
+        opt_state,
+        step,
+        cursor,
+        train_curve,
+        val_curve,
+    })
+}
+
 /// Binary-encode curves: `n u32 | (step u64, loss-bits u32)…` twice.
 /// f32 values travel as raw bits so restart reproduces them exactly.
-pub(crate) fn encode_curves(train: &[(usize, f32)], val: &[(usize, f32)]) -> Vec<u8> {
+fn encode_curves(train: &[(usize, f32)], val: &[(usize, f32)]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + 12 * (train.len() + val.len()));
     for curve in [train, val] {
         out.extend_from_slice(&(curve.len() as u32).to_le_bytes());
@@ -585,7 +625,7 @@ pub(crate) fn encode_curves(train: &[(usize, f32)], val: &[(usize, f32)]) -> Vec
 }
 
 #[allow(clippy::type_complexity)]
-pub(crate) fn decode_curves(mut bytes: &[u8]) -> Option<(Vec<(usize, f32)>, Vec<(usize, f32)>)> {
+fn decode_curves(mut bytes: &[u8]) -> Option<(Vec<(usize, f32)>, Vec<(usize, f32)>)> {
     fn take<const N: usize>(b: &mut &[u8]) -> Option<[u8; N]> {
         if b.len() < N {
             return None;

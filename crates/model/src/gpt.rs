@@ -11,6 +11,7 @@ use rand::Rng;
 
 /// Per-layer parameter handles. Fields are crate-visible so the
 /// tape-free inference path (`crate::infer`) can read the same weights.
+#[derive(Clone, Copy)]
 pub(crate) struct LayerIds {
     pub(crate) ln1_g: ParamId,
     pub(crate) ln1_b: Option<ParamId>,

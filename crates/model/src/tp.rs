@@ -307,6 +307,25 @@ pub struct StageForward {
 }
 
 impl ShardModel {
+    /// The whole model as its own single shard (`tp = 1`, one stage):
+    /// the full store already has the shard layout, so it serves as the
+    /// shard store as is — no tensor is copied.
+    pub fn whole(full: &GptModel) -> ShardModel {
+        ShardModel {
+            cfg: full.cfg.clone(),
+            tp: 1,
+            rank: 0,
+            layer_range: 0..full.cfg.layers,
+            first_stage: true,
+            last_stage: true,
+            tok_emb: Some(full.tok_emb),
+            layers: full.layers.clone(),
+            lnf_g: Some(full.lnf_g),
+            lnf_b: full.lnf_b,
+            lm_head: Some(full.lm_head),
+        }
+    }
+
     /// Per-tensor TP-sharded flags in this shard store's registration
     /// order (false = replicated; count it once across the group).
     pub fn sharded_flags(&self, store: &ParamStore) -> Vec<bool> {

@@ -53,13 +53,17 @@ impl PhaseClass {
 }
 
 /// Classify a span name into a phase class (`None` for containers
-/// like `worker-step` and anything unrecognised).
+/// like `worker-step` and anything unrecognised). Tensor-parallel
+/// allreduces and pipeline boundary hops are communication too, even
+/// where they nest inside a forward or backward span.
 pub fn classify(name: &str) -> Option<PhaseClass> {
     match name {
         "forward" => Some(PhaseClass::Forward),
         "backward" => Some(PhaseClass::Backward),
         n if n.starts_with("ring.")
+            || n.starts_with("pipe.")
             || n.starts_with("allgather")
+            || n.starts_with("allreduce")
             || n.starts_with("reduce-scatter") =>
         {
             Some(PhaseClass::Communication)
@@ -352,6 +356,20 @@ mod tests {
         (0..n)
             .map(|r| ((pids::PARALLEL, 100 + r), format!("rank {r}")))
             .collect()
+    }
+
+    #[test]
+    fn every_parallel_axis_wire_is_communication() {
+        for name in [
+            "reduce-scatter",
+            "allgather-params",
+            "allreduce",
+            "pipe.recv",
+            "ring.send",
+        ] {
+            assert_eq!(classify(name), Some(PhaseClass::Communication), "{name}");
+        }
+        assert_eq!(classify("worker-step"), None);
     }
 
     #[test]

@@ -106,6 +106,41 @@ pub fn restore_values(store: &mut ParamStore, snapshot: &[Vec<f32>]) {
     }
 }
 
+/// Round `store`'s weights to `precision`'s grid for a forward/backward
+/// pass, returning the fp32 master weights to hand to
+/// [`restore_masters`] before the optimizer update. `None` at
+/// [`Precision::F32`], where nothing is rounded.
+pub fn round_for_compute(store: &mut ParamStore, precision: Precision) -> Option<Vec<Vec<f32>>> {
+    (precision != Precision::F32).then(|| {
+        let masters = snapshot_values(store);
+        round_store(store, precision);
+        masters
+    })
+}
+
+/// Put back the master weights [`round_for_compute`] kept. Gradients
+/// accumulated in between are untouched.
+pub fn restore_masters(store: &mut ParamStore, masters: Option<Vec<Vec<f32>>>) {
+    if let Some(masters) = masters {
+        restore_values(store, &masters);
+    }
+}
+
+/// Run one forward/backward pass the mixed-precision way: weights
+/// rounded to `precision`'s grid for `pass`, fp32 masters back for the
+/// optimizer. Every training executor computes through this, so a
+/// 16-bit run means the same thing on all of them.
+pub fn with_compute_precision<R>(
+    store: &mut ParamStore,
+    precision: Precision,
+    pass: impl FnOnce(&mut ParamStore) -> R,
+) -> R {
+    let masters = round_for_compute(store, precision);
+    let out = pass(store);
+    restore_masters(store, masters);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -47,6 +47,12 @@ section "tier-1: release build + root test suite"
 cargo build --release
 cargo test -q
 
+section "workspace: every crate's unit and integration tests (release)"
+# crate-level suites (core::parallel's ShardPlan/FaultPlan/Heartbeats/
+# ring units, serve's engine tests, tensor/model/optim properties, ...)
+# that the root suite above does not reach
+cargo test --workspace --release -q
+
 section "fault-tolerance: checkpoint-restart + failure injection"
 cargo test -q --test fault_tolerance
 # corruption properties get a deeper sweep than the proptest default —

@@ -453,3 +453,31 @@ fn topology_misconfigurations_are_typed_errors() {
         other => panic!("expected Plan error, got {:?}", other.err()),
     }
 }
+
+/// `cfg.precision` reaches every executor: at bf16 the threaded grid
+/// (one and two replicas) and its sequential replay compute on
+/// rounded weights exactly like `DataParallel::train_reference`, with
+/// fp32 masters for the update — and rounding does change the run.
+#[test]
+fn bf16_grids_match_dp_reference_bitwise() {
+    use matgpt::tensor::Precision;
+    let f32_cfg = cfg(ArchKind::Llama);
+    let cfg = PretrainConfig {
+        precision: Precision::Bf16,
+        ..f32_cfg.clone()
+    };
+    for dp in [1usize, 2] {
+        let topo = Topology::new(dp, 1, 1);
+        let reference = DataParallel::train_reference(docs(), &cfg, dp);
+        let weights = reference.pretrained.store.flat_values();
+        for out in [
+            train_topology(docs(), &cfg, topo).expect("bf16 grid"),
+            reference_topology(docs(), &cfg, topo).expect("bf16 replay"),
+        ] {
+            assert_eq!(out.train_curve, reference.pretrained.curves.train, "dp{dp}");
+            assert_eq!(out.store.flat_values(), weights, "dp{dp} weights");
+        }
+        let full = DataParallel::train_reference(docs(), &f32_cfg, dp);
+        assert_ne!(full.pretrained.store.flat_values(), weights, "dp{dp}");
+    }
+}
