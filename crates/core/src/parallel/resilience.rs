@@ -287,7 +287,7 @@ pub struct ResilienceConfig {
     /// Respawn at N or shrink to the survivors.
     pub policy: RecoveryPolicy,
     /// Ring receive bound, ms: how long a worker waits on a silent peer
-    /// before reporting [`CollectiveError::Timeout`].
+    /// before reporting [`CollectiveError::Timeout`](super::CollectiveError::Timeout).
     pub collective_timeout_ms: u64,
     /// Heartbeat age, ms, beyond which a non-responding rank is
     /// declared dead rather than slow.

@@ -147,8 +147,7 @@ impl GptKnowledgeProbe<'_> {
             return 0.0;
         }
         let start = crate::harness::continuation_start(&ptoks, &full);
-        let n = (full.len() - start) as f64;
-        (self.model.score_span(self.store, &full, start) / n) as f32
+        crate::harness::mean_span_logprob(self.model, self.store, &full, start) as f32
     }
 }
 
@@ -285,6 +284,36 @@ mod tests {
         assert!(v[..3].iter().all(|p| (0.0..=1.0).contains(p)));
         // expected-value feature normalised by the grid max
         assert!((0.0..=1.0).contains(&v[3]), "{}", v[3]);
+    }
+
+    #[test]
+    fn knowledge_probe_scores_prompts_longer_than_the_window() {
+        let corpus = vec!["BaTiO3 is an insulator with a band gap of 4.1 eV".to_string()];
+        let tok = BpeTokenizer::train(&corpus, 300);
+        let mut store = ParamStore::new();
+        let mut rng = init::rng(2);
+        let gcfg = GptConfig {
+            vocab_size: tok.vocab_size(),
+            hidden: 16,
+            layers: 1,
+            heads: 2,
+            max_seq: 64,
+            ..GptConfig::tiny(ArchKind::Llama, tok.vocab_size())
+        };
+        let gpt = GptModel::new(gcfg, &mut store, &mut rng);
+        let probe = GptKnowledgeProbe::band_gap(&gpt, &store, &tok, "probe".into());
+        let vprompt = probe.value_prompt.0.replace("{}", "BaTiO3");
+        let full = format!("{vprompt}4.1{}", probe.value_prompt.1);
+        assert!(
+            tok.encode(&full).len() > 64,
+            "the value prompt outgrows the window"
+        );
+        let v = probe.embed("BaTiO3");
+        assert_eq!(v.len(), probe.dim());
+        assert!(
+            v.iter().all(|p| p.is_finite() && (0.0..=1.0).contains(p)),
+            "{v:?}"
+        );
     }
 
     #[test]

@@ -37,6 +37,20 @@ pub fn continuation_start(prompt_tokens: &[u32], full_tokens: &[u32]) -> usize {
     lcp.clamp(1, full_tokens.len().saturating_sub(1).max(1))
 }
 
+/// Mean log-probability of `tokens[start..]` given the prefix: the
+/// acc_norm-style score. [`GptModel::score_span`] keeps only the last
+/// `max_seq` tokens, so it scores at most `max_seq - 1` positions, and
+/// the count divides by the same number.
+pub(crate) fn mean_span_logprob(
+    model: &GptModel,
+    store: &ParamStore,
+    tokens: &[u32],
+    start: usize,
+) -> f64 {
+    let n = (tokens.len() - start).min(model.cfg.max_seq - 1).max(1);
+    model.score_span(store, tokens, start) / n as f64
+}
+
 /// Score one item: returns the predicted choice index.
 pub fn predict(
     model: &GptModel,
@@ -54,19 +68,7 @@ pub fn predict(
         if full_tokens.len() < 2 {
             continue;
         }
-        // cap context to the model window from the left
-        let window = model.cfg.max_seq;
-        let (tokens, start) = if full_tokens.len() > window {
-            let drop = full_tokens.len() - window;
-            (
-                full_tokens[drop..].to_vec(),
-                start.saturating_sub(drop).max(1),
-            )
-        } else {
-            (full_tokens, start)
-        };
-        let n_cont = (tokens.len() - start).max(1) as f64;
-        let lp = model.score_span(store, &tokens, start) / n_cont;
+        let lp = mean_span_logprob(model, store, &full_tokens, start);
         if lp > best.0 {
             best = (lp, ci);
         }

@@ -6,6 +6,7 @@
 //! (2-matrix GELU at 4h vs 3-matrix SwiGLU at 8h/3).
 
 use crate::config::{ArchKind, GptConfig};
+use crate::tp::{stage_graph, Entry, Head, ShardModel};
 use matgpt_tensor::{init, ParamId, ParamStore, Tape, Tensor, Var};
 use rand::Rng;
 
@@ -31,6 +32,32 @@ pub(crate) struct LayerIds {
     pub(crate) b2: Option<ParamId>,
     /// SwiGLU up-projection (LLaMA only).
     pub(crate) w3: Option<ParamId>,
+}
+
+impl LayerIds {
+    /// The same layer with every handle `id` replaced by `f(id)`, called
+    /// in registration order (the field order above).
+    pub(crate) fn map(&self, mut f: impl FnMut(ParamId) -> ParamId) -> LayerIds {
+        LayerIds {
+            ln1_g: f(self.ln1_g),
+            ln1_b: self.ln1_b.map(&mut f),
+            wq: f(self.wq),
+            bq: self.bq.map(&mut f),
+            wk: f(self.wk),
+            bk: self.bk.map(&mut f),
+            wv: f(self.wv),
+            bv: self.bv.map(&mut f),
+            wo: f(self.wo),
+            bo: self.bo.map(&mut f),
+            ln2_g: f(self.ln2_g),
+            ln2_b: self.ln2_b.map(&mut f),
+            w1: f(self.w1),
+            b1: self.b1.map(&mut f),
+            w2: f(self.w2),
+            b2: self.b2.map(&mut f),
+            w3: self.w3.map(&mut f),
+        }
+    }
 }
 
 /// A GPT model: configuration plus parameter handles into a store.
@@ -130,43 +157,6 @@ impl GptModel {
         }
     }
 
-    fn norm(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        x: Var,
-        g: ParamId,
-        b: Option<ParamId>,
-    ) -> Var {
-        let gv = tape.param(store, g);
-        match self.cfg.arch {
-            ArchKind::NeoX => {
-                let bv = tape.param(store, b.expect("NeoX LayerNorm beta"));
-                tape.layernorm(x, gv, bv, self.cfg.norm_eps)
-            }
-            ArchKind::Llama => tape.rmsnorm(x, gv, self.cfg.norm_eps),
-        }
-    }
-
-    fn proj(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        x: Var,
-        w: ParamId,
-        b: Option<ParamId>,
-    ) -> Var {
-        let wv = tape.param(store, w);
-        let y = tape.matmul(x, wv);
-        match b {
-            Some(b) => {
-                let bv = tape.param(store, b);
-                tape.add_bias(y, bv)
-            }
-            None => y,
-        }
-    }
-
     /// Forward to final hidden states: `[B*T, h]`.
     pub fn hidden_states(
         &self,
@@ -176,58 +166,7 @@ impl GptModel {
         batch: usize,
         seq: usize,
     ) -> Var {
-        assert_eq!(tokens.len(), batch * seq, "token layout");
-        assert!(seq <= self.cfg.max_seq, "sequence too long");
-        let h = self.cfg.hidden;
-        let heads = self.cfg.heads;
-        let kv_heads = self.cfg.kv_head_count();
-        let d = self.cfg.head_dim();
-        let emb = tape.param(store, self.tok_emb);
-        let mut x = tape.embedding(emb, tokens); // [B*T, h]
-        for layer in &self.layers {
-            // --- attention block
-            let n1 = self.norm(tape, store, x, layer.ln1_g, layer.ln1_b);
-            let q = self.proj(tape, store, n1, layer.wq, layer.bq);
-            let k = self.proj(tape, store, n1, layer.wk, layer.bk);
-            let v = self.proj(tape, store, n1, layer.wv, layer.bv);
-            let q = tape.split_heads(q, batch, seq, heads, d);
-            let k = tape.split_heads(k, batch, seq, kv_heads, d);
-            let v = tape.split_heads(v, batch, seq, kv_heads, d);
-            let q = tape.rotary(q, seq, d, self.cfg.rope_base);
-            let k = tape.rotary(k, seq, d, self.cfg.rope_base);
-            // grouped-query attention: share each kv head across its group
-            let (k, v) = if kv_heads < heads {
-                (
-                    expand_kv_heads(tape, k, batch, seq, heads, kv_heads, d),
-                    expand_kv_heads(tape, v, batch, seq, heads, kv_heads, d),
-                )
-            } else {
-                (k, v)
-            };
-            let att = tape.causal_attention(q, k, v, batch * heads, seq, d);
-            let att = tape.merge_heads(att, batch, seq, heads, d);
-            let att = tape.reshape(att, &[batch * seq, h]);
-            let att = self.proj(tape, store, att, layer.wo, layer.bo);
-            x = tape.add(x, att);
-            // --- mlp block
-            let n2 = self.norm(tape, store, x, layer.ln2_g, layer.ln2_b);
-            let mlp = match self.cfg.arch {
-                ArchKind::NeoX => {
-                    let a = self.proj(tape, store, n2, layer.w1, layer.b1);
-                    let a = tape.gelu(a);
-                    self.proj(tape, store, a, layer.w2, layer.b2)
-                }
-                ArchKind::Llama => {
-                    let gate = self.proj(tape, store, n2, layer.w1, None);
-                    let gate = tape.silu(gate);
-                    let up = self.proj(tape, store, n2, layer.w3.expect("llama w3"), None);
-                    let a = tape.mul(gate, up);
-                    self.proj(tape, store, a, layer.w2, None)
-                }
-            };
-            x = tape.add(x, mlp);
-        }
-        self.norm(tape, store, x, self.lnf_g, self.lnf_b)
+        self.graph(tape, store, tokens, Head::Hidden, batch, seq)
     }
 
     /// Forward to logits: `[B*T, vocab]`.
@@ -239,9 +178,7 @@ impl GptModel {
         batch: usize,
         seq: usize,
     ) -> Var {
-        let hid = self.hidden_states(tape, store, tokens, batch, seq);
-        let head = tape.param(store, self.lm_head);
-        tape.matmul(hid, head)
+        self.graph(tape, store, tokens, Head::Logits, batch, seq)
     }
 
     /// Next-token cross-entropy loss for a `[B, T]` batch of inputs with
@@ -255,15 +192,45 @@ impl GptModel {
         batch: usize,
         seq: usize,
     ) -> Var {
-        let logits = self.logits(tape, store, inputs, batch, seq);
-        tape.cross_entropy(logits, targets)
+        self.graph(tape, store, inputs, Head::Loss(targets), batch, seq)
+    }
+
+    /// The whole model as the 1 × 1 stage graph of [`crate::tp`]: the
+    /// one GPT training graph, which TP ranks and pipeline stages shard.
+    fn graph(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        tokens: &[u32],
+        head: Head<'_>,
+        batch: usize,
+        seq: usize,
+    ) -> Var {
+        assert!(seq <= self.cfg.max_seq, "sequence too long");
+        let whole = ShardModel::whole(self);
+        stage_graph(
+            tape,
+            &[(&whole, store)],
+            &mut [Vec::new()],
+            None,
+            Entry::Tokens(tokens),
+            head,
+            batch,
+            seq,
+        )
     }
 
     /// Total log-probability of `tokens[pos]` given the prefix, summed over
     /// `pos ∈ [start, tokens.len())`. The scoring primitive behind the
     /// zero/few-shot harness (length-normalise externally if desired).
+    /// Only the last `max_seq` tokens are read: a longer input drops its
+    /// head, and with it any scored position before the second kept
+    /// token, so at most `max_seq - 1` positions are scored.
     pub fn score_span(&self, store: &ParamStore, tokens: &[u32], start: usize) -> f64 {
         assert!(start >= 1 && start <= tokens.len(), "span start");
+        // cap the context to the model window from the left
+        let drop = tokens.len().saturating_sub(self.cfg.max_seq);
+        let (tokens, start) = (&tokens[drop..], start.saturating_sub(drop).max(1));
         let seq = tokens.len() - 1;
         if seq == 0 {
             return 0.0;
@@ -273,7 +240,7 @@ impl GptModel {
         let lv = tape.value(logits);
         let v = self.cfg.vocab_size;
         let mut total = 0.0f64;
-        for pos in start.max(1)..tokens.len() {
+        for pos in start..tokens.len() {
             let row = &lv.data()[(pos - 1) * v..pos * v];
             let lse = matgpt_tensor::kernels::softmax::logsumexp(row) as f64;
             total += row[tokens[pos] as usize] as f64 - lse;
@@ -289,33 +256,6 @@ impl GptModel {
         let pooled = tape.group_mean_rows(hid, seq);
         tape.value(pooled).data().to_vec()
     }
-}
-
-/// Repeat each of `kv_heads` key/value heads `heads / kv_heads` times so a
-/// `[B*Hkv, T, D]` tensor becomes `[B*H, T, D]` (gradient flows back as a
-/// sum over the group, which is exactly GQA's backward).
-pub(crate) fn expand_kv_heads(
-    tape: &mut Tape,
-    x: Var,
-    batch: usize,
-    seq: usize,
-    heads: usize,
-    kv_heads: usize,
-    d: usize,
-) -> Var {
-    let group = heads / kv_heads;
-    let x2d = tape.reshape(x, &[batch * kv_heads * seq, d]);
-    let mut idx = Vec::with_capacity(batch * heads * seq);
-    for b in 0..batch {
-        for hq in 0..heads {
-            let hkv = hq / group;
-            for t in 0..seq {
-                idx.push(((b * kv_heads + hkv) * seq + t) as u32);
-            }
-        }
-    }
-    let gathered = tape.index_select(x2d, &idx);
-    tape.reshape(gathered, &[batch * heads, seq, d])
 }
 
 #[cfg(test)]

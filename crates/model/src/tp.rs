@@ -1,8 +1,28 @@
-//! Megatron-style tensor-parallel shards of [`crate::GptModel`], plus
-//! the sequential-reference graph builder that defines their bitwise
-//! equivalence target.
+//! The GPT training graph, written once, and its Megatron-style
+//! tensor-parallel and pipeline shards.
 //!
-//! The shard layout follows GPT-NeoX-20B / Megatron-LM:
+//! One per-stage layer loop builds every GPT training graph: a pipeline
+//! stage's span of pre-norm blocks (`x += attn(norm1(x))`, then
+//! `x += mlp(norm2(x))`) over the stage's tensor-parallel shards. Its
+//! callers differ only in how a TP group meets at the two Megatron sync
+//! points:
+//!
+//! * **threaded** ([`ShardModel::stage_forward`]) — one rank per tape,
+//!   its peers reached through a [`CommHook`]: [`Tape::sync_grad`]
+//!   entering each sharded block, [`Tape::sync_sum`] after each
+//!   row-parallel product;
+//! * **sequential** ([`reference_loss`]) — every rank of every stage on
+//!   one tape, joined by [`Tape::tp_branches`] / [`Tape::ring_sum`] with
+//!   the ring's reduction order ([`matgpt_tensor::ring_fold`]).
+//!
+//! Equivalence contract: a threaded TP×t run is bit-identical to the
+//! sequential reference, and the reference on a 1 × 1 grid
+//! ([`ShardModel::whole`]) *is* [`crate::GptModel::loss`] — `GptModel`'s
+//! `hidden_states`, `logits` and `loss` are built by the same loop.
+//!
+//! **Shard rule** (GPT-NeoX-20B / Megatron-LM). A tensor's registration
+//! name decides its kind, its own shape the geometry: rank `r` of `t`
+//! holds `r·n/t..(r+1)·n/t` of the split dimension's `n`.
 //!
 //! * **column-parallel** — `wq`/`wk`/`wv` (by contiguous head blocks),
 //!   `w1`/`w3` (MLP up/gate) and their biases: each rank holds a column
@@ -16,11 +36,9 @@
 //!   rank, kept in lockstep because every gradient that reaches them
 //!   has already been allreduced (the Megatron "f" point).
 //!
-//! Equivalence contract: a threaded TP×t run is bit-identical to the
-//! sequential reference built by [`reference_loss`], which folds the
-//! per-rank partials with the exact ring reduction order
-//! ([`matgpt_tensor::ring_fold`]); at `t = 1, pp = 1` the reference
-//! graph degenerates node-for-node to [`crate::GptModel::loss`].
+//! [`shard_model`] carves shards by that rule and [`consolidate_shards`]
+//! places them back by it, both along one registration-order walk of a
+//! stage's parameters.
 
 use crate::config::{ArchKind, GptConfig};
 use crate::gpt::{GptModel, LayerIds};
@@ -146,28 +164,50 @@ fn is_row_sharded(name: &str) -> bool {
     matches!(suffix, "wo" | "w2")
 }
 
-fn col_slice(t: &Tensor, cols: &Range<usize>) -> Tensor {
-    assert_eq!(t.rank(), 2, "column slice of a 2-D tensor");
-    let (rows, c) = (t.dim(0), t.dim(1));
-    let w = cols.len();
-    let mut data = Vec::with_capacity(rows * w);
-    for r in 0..rows {
+/// Rows × columns of a parameter's 2-D view (a vector is one row).
+type Block = (Range<usize>, Range<usize>);
+
+/// The shard rule: TP rank `rank` of `tp`'s block of the full tensor
+/// `name` of `shape`. The name decides the kind — replicated (the whole
+/// tensor), row- or column-parallel — and the shape the geometry.
+fn shard_block(name: &str, shape: &[usize], tp: usize, rank: usize) -> Block {
+    let (rows, cols) = match *shape {
+        [n] => (1, n),
+        [r, c] => (r, c),
+        _ => panic!("parameters are vectors or matrices"),
+    };
+    let part = |n: usize| rank * n / tp..(rank + 1) * n / tp;
+    if !is_sharded_name(name) {
+        (0..rows, 0..cols)
+    } else if is_row_sharded(name) {
+        (part(rows), 0..cols)
+    } else {
+        (0..rows, part(cols))
+    }
+}
+
+/// Copy `block` out of `t`, keeping its rank.
+fn carve(t: &Tensor, (rows, cols): &Block) -> Tensor {
+    let c = *t.shape().last().expect("parameter shape");
+    let mut data = Vec::with_capacity(rows.len() * cols.len());
+    for r in rows.clone() {
         data.extend_from_slice(&t.data()[r * c + cols.start..r * c + cols.end]);
     }
-    Tensor::from_vec(&[rows, w], data)
+    if t.rank() == 1 {
+        Tensor::from_vec(&[cols.len()], data)
+    } else {
+        Tensor::from_vec(&[rows.len(), cols.len()], data)
+    }
 }
 
-fn row_slice(t: &Tensor, rows: &Range<usize>) -> Tensor {
-    assert_eq!(t.rank(), 2, "row slice of a 2-D tensor");
-    let c = t.dim(1);
-    Tensor::from_vec(
-        &[rows.len(), c],
-        t.data()[rows.start * c..rows.end * c].to_vec(),
-    )
-}
-
-fn vec_slice(t: &Tensor, r: &Range<usize>) -> Tensor {
-    Tensor::from_vec(&[r.len()], t.data()[r.clone()].to_vec())
+/// Write `shard` into `block` of `dst`: the inverse of [`carve`].
+fn place(dst: &mut Tensor, shard: &Tensor, (rows, cols): &Block) {
+    let c = *dst.shape().last().expect("parameter shape");
+    let w = cols.len();
+    for (i, r) in rows.clone().enumerate() {
+        dst.data_mut()[r * c + cols.start..r * c + cols.end]
+            .copy_from_slice(&shard.data()[i * w..(i + 1) * w]);
+    }
 }
 
 /// One rank's stage of the model: the owned layer span sharded across
@@ -194,9 +234,10 @@ pub struct ShardModel {
 }
 
 /// Carve rank `(rank of tp)`'s shard of `layer_range` out of a fully
-/// initialised model. The shard store registers tensors under the same
-/// names, in the same relative order, as the full store — values are
-/// exact slices, so `t = 1, pp = 1` reproduces the full store bitwise.
+/// initialised model by the shard rule. The shard store registers
+/// tensors under the same names, in the same relative order, as the
+/// full store — values are exact slices, so `t = 1, pp = 1` reproduces
+/// the full store bitwise.
 pub fn shard_model(
     full: &GptModel,
     full_store: &ParamStore,
@@ -206,80 +247,17 @@ pub fn shard_model(
     first_stage: bool,
     last_stage: bool,
 ) -> (ShardModel, ParamStore) {
-    let cfg = full.cfg.clone();
-    validate_plan(&cfg, tp, 1).expect("validated layout");
+    validate_plan(&full.cfg, tp, 1).expect("validated layout");
     assert!(rank < tp, "rank within group");
-    let h = cfg.hidden;
-    let m = cfg.mlp_hidden();
-    let kvd = cfg.kv_head_count() * cfg.head_dim();
-    let hcols = rank * h / tp..(rank + 1) * h / tp;
-    let kvcols = rank * kvd / tp..(rank + 1) * kvd / tp;
-    let mcols = rank * m / tp..(rank + 1) * m / tp;
-
     let mut store = ParamStore::new();
-    let copy = |store: &mut ParamStore, id: ParamId| {
-        store.add(full_store.name(id), full_store.value(id).clone())
-    };
-    let col = |store: &mut ParamStore, id: ParamId, cols: &Range<usize>| {
-        let v = full_store.value(id);
-        let sliced = if v.rank() == 2 {
-            col_slice(v, cols)
-        } else {
-            vec_slice(v, cols)
-        };
-        store.add(full_store.name(id), sliced)
-    };
-    let row = |store: &mut ParamStore, id: ParamId, rows: &Range<usize>| {
-        store.add(full_store.name(id), row_slice(full_store.value(id), rows))
-    };
-
-    let tok_emb = first_stage.then(|| copy(&mut store, full.tok_emb));
-    let mut layers = Vec::with_capacity(layer_range.len());
-    for l in layer_range.clone() {
-        let src = &full.layers[l];
-        layers.push(LayerIds {
-            ln1_g: copy(&mut store, src.ln1_g),
-            ln1_b: src.ln1_b.map(|id| copy(&mut store, id)),
-            wq: col(&mut store, src.wq, &hcols),
-            bq: src.bq.map(|id| col(&mut store, id, &hcols)),
-            wk: col(&mut store, src.wk, &kvcols),
-            bk: src.bk.map(|id| col(&mut store, id, &kvcols)),
-            wv: col(&mut store, src.wv, &kvcols),
-            bv: src.bv.map(|id| col(&mut store, id, &kvcols)),
-            wo: row(&mut store, src.wo, &hcols),
-            bo: src.bo.map(|id| copy(&mut store, id)),
-            ln2_g: copy(&mut store, src.ln2_g),
-            ln2_b: src.ln2_b.map(|id| copy(&mut store, id)),
-            w1: col(&mut store, src.w1, &mcols),
-            b1: src.b1.map(|id| col(&mut store, id, &mcols)),
-            w2: row(&mut store, src.w2, &mcols),
-            b2: src.b2.map(|id| copy(&mut store, id)),
-            w3: src.w3.map(|id| col(&mut store, id, &mcols)),
-        });
-    }
-    let lnf_g = last_stage.then(|| copy(&mut store, full.lnf_g));
-    let lnf_b = full
-        .lnf_b
-        .filter(|_| last_stage)
-        .map(|id| copy(&mut store, id));
-    let lm_head = last_stage.then(|| copy(&mut store, full.lm_head));
-
-    (
-        ShardModel {
-            cfg,
-            tp,
-            rank,
-            layer_range,
-            first_stage,
-            last_stage,
-            tok_emb,
-            layers,
-            lnf_g,
-            lnf_b,
-            lm_head,
-        },
-        store,
-    )
+    let shard = ShardModel::span(full, layer_range, first_stage, last_stage).map_ids(|id| {
+        let (name, value) = (full_store.name(id), full_store.value(id));
+        store.add(
+            name,
+            carve(value, &shard_block(name, value.shape(), tp, rank)),
+        )
+    });
+    (ShardModel { tp, rank, ..shard }, store)
 }
 
 /// What flows into a stage's forward pass.
@@ -311,19 +289,55 @@ impl ShardModel {
     /// the full store already has the shard layout, so it serves as the
     /// shard store as is — no tensor is copied.
     pub fn whole(full: &GptModel) -> ShardModel {
+        Self::span(full, 0..full.cfg.layers, true, true)
+    }
+
+    /// `full`'s own parameter handles for one pipeline stage (`tp = 1`).
+    fn span(
+        full: &GptModel,
+        layer_range: Range<usize>,
+        first_stage: bool,
+        last_stage: bool,
+    ) -> ShardModel {
         ShardModel {
             cfg: full.cfg.clone(),
             tp: 1,
             rank: 0,
-            layer_range: 0..full.cfg.layers,
-            first_stage: true,
-            last_stage: true,
-            tok_emb: Some(full.tok_emb),
-            layers: full.layers.clone(),
-            lnf_g: Some(full.lnf_g),
-            lnf_b: full.lnf_b,
-            lm_head: Some(full.lm_head),
+            tok_emb: first_stage.then_some(full.tok_emb),
+            layers: full.layers[layer_range.clone()].to_vec(),
+            lnf_g: last_stage.then_some(full.lnf_g),
+            lnf_b: full.lnf_b.filter(|_| last_stage),
+            lm_head: last_stage.then_some(full.lm_head),
+            layer_range,
+            first_stage,
+            last_stage,
         }
+    }
+
+    /// This stage with every parameter handle `id` replaced by `f(id)`,
+    /// called in registration order: the one walk [`shard_model`]
+    /// registers along and [`consolidate_shards`] aligns against.
+    fn map_ids(&self, mut f: impl FnMut(ParamId) -> ParamId) -> ShardModel {
+        ShardModel {
+            tok_emb: self.tok_emb.map(&mut f),
+            layers: self.layers.iter().map(|l| l.map(&mut f)).collect(),
+            lnf_g: self.lnf_g.map(&mut f),
+            lnf_b: self.lnf_b.map(&mut f),
+            lm_head: self.lm_head.map(&mut f),
+            cfg: self.cfg.clone(),
+            layer_range: self.layer_range.clone(),
+            ..*self
+        }
+    }
+
+    /// Every parameter handle, in registration order.
+    fn param_ids(&self) -> Vec<ParamId> {
+        let mut ids = Vec::new();
+        self.map_ids(|id| {
+            ids.push(id);
+            id
+        });
+        ids
     }
 
     /// Per-tensor TP-sharded flags in this shard store's registration
@@ -412,10 +426,11 @@ impl ShardModel {
         let v = tape.split_heads(v, batch, seq, kv_heads, d);
         let q = tape.rotary(q, seq, d, self.cfg.rope_base);
         let k = tape.rotary(k, seq, d, self.cfg.rope_base);
+        // grouped-query attention: share each kv head across its group
         let (k, v) = if kv_heads < heads {
             (
-                crate::gpt::expand_kv_heads(tape, k, batch, seq, heads, kv_heads, d),
-                crate::gpt::expand_kv_heads(tape, v, batch, seq, heads, kv_heads, d),
+                expand_kv_heads(tape, k, batch, seq, heads, kv_heads, d),
+                expand_kv_heads(tape, v, batch, seq, heads, kv_heads, d),
             )
         } else {
             (k, v)
@@ -457,12 +472,10 @@ impl ShardModel {
         }
     }
 
-    /// One rank's threaded forward over its stage span. TP sync points
-    /// go through `comm` ([`Tape::sync_grad`] before each sharded
-    /// block, [`Tape::sync_sum`] after each row-parallel product); a
-    /// group of one makes both no-ops and the graph degenerates to
-    /// [`crate::GptModel`]'s. With `targets` on the last stage the
-    /// output is the scalar loss, otherwise the boundary hidden states.
+    /// One rank's threaded forward over its stage span: the stage graph
+    /// with the TP group met through `comm` (a group of one makes both
+    /// sync points no-ops). With `targets` on the last stage the output
+    /// is the scalar loss, otherwise the boundary hidden states.
     #[allow(clippy::too_many_arguments)]
     pub fn stage_forward(
         &self,
@@ -474,67 +487,135 @@ impl ShardModel {
         batch: usize,
         seq: usize,
     ) -> StageForward {
-        let mut staged = Vec::new();
-        let (mut x, input_var) = match input {
-            StageInput::Tokens(tokens) => {
-                assert!(self.first_stage, "tokens enter at the first stage");
-                assert_eq!(tokens.len(), batch * seq, "token layout");
-                let emb = self.stage_param(tape, store, &mut staged, self.tok_emb.expect("emb"));
-                (tape.embedding(emb, tokens), None)
-            }
+        let (entry, input) = match input {
+            StageInput::Tokens(tokens) => (Entry::Tokens(tokens), None),
             StageInput::Activation(act) => {
-                assert!(!self.first_stage, "activations enter at later stages");
                 let v = tape.input(act);
-                (v, Some(v))
+                (Entry::Hidden(v), Some(v))
             }
         };
-        for li in 0..self.layers.len() {
-            let layer = &self.layers[li];
-            let n1 = self.norm(tape, store, &mut staged, x, layer.ln1_g, layer.ln1_b);
-            let n1s = tape.sync_grad(n1, comm);
-            let part = self.attn_partial(tape, store, &mut staged, li, n1s, batch, seq);
-            let mut y = tape.sync_sum(part, comm);
-            if let Some(bo) = layer.bo {
-                let bv = self.stage_param(tape, store, &mut staged, bo);
-                y = tape.add_bias(y, bv);
-            }
-            x = tape.add(x, y);
-            let n2 = self.norm(tape, store, &mut staged, x, layer.ln2_g, layer.ln2_b);
-            let n2s = tape.sync_grad(n2, comm);
-            let part = self.mlp_partial(tape, store, &mut staged, li, n2s);
-            let mut y = tape.sync_sum(part, comm);
-            if let Some(b2) = layer.b2 {
-                let bv = self.stage_param(tape, store, &mut staged, b2);
-                y = tape.add_bias(y, bv);
-            }
-            x = tape.add(x, y);
+        let head = targets.map_or(Head::Hidden, Head::Loss);
+        let mut staged = [Vec::new()];
+        let out = stage_graph(
+            tape,
+            &[(self, store)],
+            &mut staged,
+            Some(comm),
+            entry,
+            head,
+            batch,
+            seq,
+        );
+        let [staged] = staged;
+        StageForward { out, input, staged }
+    }
+}
+
+/// Where a stage graph's residual stream starts.
+pub(crate) enum Entry<'a> {
+    /// Token ids, embedded by the first stage.
+    Tokens(&'a [u32]),
+    /// The previous stage's boundary hidden states.
+    Hidden(Var),
+}
+
+/// What the last stage's graph ends in.
+pub(crate) enum Head<'a> {
+    /// The final norm's output, `[B*T, h]`.
+    Hidden,
+    /// Logits, `[B*T, vocab]`.
+    Logits,
+    /// Next-token cross-entropy against these targets.
+    Loss(&'a [u32]),
+}
+
+/// One pipeline stage of the GPT graph on `tape` — the only place the
+/// block is written. `ranks` are the stage's TP shards on this tape,
+/// each with its own `staged` list: one threaded rank whose group meets
+/// through `comm`, or (`comm = None`) all `t` ranks of the group, forked
+/// and summed on the tape itself. Replicated pieces (embedding, norms,
+/// output biases, final norm, head) are computed once, against rank 0's
+/// copies — the copies every consolidation reads. A stage that is not
+/// last returns its residual stream; the last ends in `head`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn stage_graph(
+    tape: &mut Tape,
+    ranks: &[(&ShardModel, &ParamStore)],
+    staged: &mut [Vec<(ParamId, Var)>],
+    comm: Option<&CommHook>,
+    entry: Entry<'_>,
+    head: Head<'_>,
+    batch: usize,
+    seq: usize,
+) -> Var {
+    assert!(
+        comm.is_none() || ranks.len() == 1,
+        "one threaded rank per tape"
+    );
+    let (lead, lead_store) = ranks[0];
+    let mut x = match entry {
+        Entry::Tokens(tokens) => {
+            assert!(lead.first_stage, "tokens enter at the first stage");
+            assert_eq!(tokens.len(), batch * seq, "token layout");
+            let emb = lead.tok_emb.expect("emb");
+            let emb = lead.stage_param(tape, lead_store, &mut staged[0], emb);
+            tape.embedding(emb, tokens)
         }
-        let out = if self.last_stage {
-            let hid = self.norm(
-                tape,
-                store,
-                &mut staged,
-                x,
-                self.lnf_g.expect("lnf"),
-                self.lnf_b,
-            );
-            match targets {
-                Some(targets) => {
-                    let head =
-                        self.stage_param(tape, store, &mut staged, self.lm_head.expect("head"));
-                    let logits = tape.matmul(hid, head);
-                    tape.cross_entropy(logits, targets)
-                }
-                None => hid,
-            }
-        } else {
+        Entry::Hidden(x) => {
+            assert!(!lead.first_stage, "activations enter at later stages");
             x
-        };
-        StageForward {
-            out,
-            input: input_var,
-            staged,
         }
+    };
+    for (li, layer) in lead.layers.iter().enumerate() {
+        // the pre-norm block: x += attn(norm1(x)), then x += mlp(norm2(x))
+        for (g, b, out_bias, mlp) in [
+            (layer.ln1_g, layer.ln1_b, layer.bo, false),
+            (layer.ln2_g, layer.ln2_b, layer.b2, true),
+        ] {
+            let n = lead.norm(tape, lead_store, &mut staged[0], x, g, b);
+            // Megatron "f": every rank reads `n`; their gradients sum
+            let inputs = match comm {
+                Some(comm) => vec![tape.sync_grad(n, comm)],
+                None => tape.tp_branches(n, ranks.len()),
+            };
+            let parts: Vec<Var> = ranks
+                .iter()
+                .zip(staged.iter_mut())
+                .zip(inputs)
+                .map(|((&(m, s), st), n)| {
+                    if mlp {
+                        m.mlp_partial(tape, s, st, li, n)
+                    } else {
+                        m.attn_partial(tape, s, st, li, n, batch, seq)
+                    }
+                })
+                .collect();
+            // Megatron "g": the row-parallel partials sum
+            let mut y = match comm {
+                Some(comm) => tape.sync_sum(parts[0], comm),
+                None => tape.ring_sum(&parts),
+            };
+            if let Some(bias) = out_bias {
+                let bv = lead.stage_param(tape, lead_store, &mut staged[0], bias);
+                y = tape.add_bias(y, bv);
+            }
+            x = tape.add(x, y);
+        }
+    }
+    if !lead.last_stage {
+        return x;
+    }
+    let lnf_g = lead.lnf_g.expect("lnf");
+    let hid = lead.norm(tape, lead_store, &mut staged[0], x, lnf_g, lead.lnf_b);
+    if let Head::Hidden = head {
+        return hid;
+    }
+    let lm_head = lead.lm_head.expect("head");
+    let w = lead.stage_param(tape, lead_store, &mut staged[0], lm_head);
+    let logits = tape.matmul(hid, w);
+    match head {
+        Head::Loss(targets) => tape.cross_entropy(logits, targets),
+        _ => logits,
     }
 }
 
@@ -551,12 +632,11 @@ pub fn accumulate_staged_grads(tape: &Tape, staged: &[(ParamId, Var)], store: &m
 }
 
 /// One micro-batch chunk's loss on the **sequential reference** graph:
-/// all `pp × tp` shards drive a single tape, with
-/// [`Tape::tp_branches`] / [`Tape::ring_sum`] standing in for the
-/// threaded sync points (same ring-fold reduction order) and stage
-/// boundaries flowing through directly (a threaded boundary transfers
-/// the same bits). Replicated segments are computed once, against TP
-/// rank 0's copies — the copies every consolidation reads.
+/// all `pp × tp` shards drive a single tape, stage after stage through
+/// the stage graph, with [`Tape::tp_branches`] / [`Tape::ring_sum`]
+/// standing in for the threaded sync points (same ring-fold reduction
+/// order) and stage boundaries flowing through directly (a threaded
+/// boundary transfers the same bits).
 ///
 /// Returns the loss and the staged `(param, var)` pairs per
 /// `[stage][tp rank]`, for accumulation into the matching shard store.
@@ -569,85 +649,25 @@ pub fn reference_loss(
     batch: usize,
     seq: usize,
 ) -> (Var, Vec<Vec<Vec<(ParamId, Var)>>>) {
-    let t = stages[0].len();
+    assert!(
+        stages.last().expect("stages")[0].0.last_stage,
+        "the last stage ends in the loss"
+    );
     let mut staged: Vec<Vec<Vec<(ParamId, Var)>>> =
         stages.iter().map(|s| vec![Vec::new(); s.len()]).collect();
-
-    let (m0, s0) = stages[0][0];
-    assert!(m0.first_stage && stages.last().expect("stages")[0].0.last_stage);
-    let mut x = {
-        let emb = m0.stage_param(tape, s0, &mut staged[0][0], m0.tok_emb.expect("emb"));
-        tape.embedding(emb, inputs)
-    };
-    for (si, stage) in stages.iter().enumerate() {
-        let (lead, lead_store) = stage[0];
-        for li in 0..lead.layers.len() {
-            // --- attention block
-            let n1 = lead.norm(
-                tape,
-                lead_store,
-                &mut staged[si][0],
-                x,
-                lead.layers[li].ln1_g,
-                lead.layers[li].ln1_b,
-            );
-            let branches = tape.tp_branches(n1, t);
-            let parts: Vec<Var> = (0..t)
-                .map(|r| {
-                    let (m, s) = stage[r];
-                    m.attn_partial(tape, s, &mut staged[si][r], li, branches[r], batch, seq)
-                })
-                .collect();
-            let mut y = tape.ring_sum(&parts);
-            if let Some(bo) = lead.layers[li].bo {
-                let bv = lead.stage_param(tape, lead_store, &mut staged[si][0], bo);
-                y = tape.add_bias(y, bv);
-            }
-            x = tape.add(x, y);
-            // --- mlp block
-            let n2 = lead.norm(
-                tape,
-                lead_store,
-                &mut staged[si][0],
-                x,
-                lead.layers[li].ln2_g,
-                lead.layers[li].ln2_b,
-            );
-            let branches = tape.tp_branches(n2, t);
-            let parts: Vec<Var> = (0..t)
-                .map(|r| {
-                    let (m, s) = stage[r];
-                    m.mlp_partial(tape, s, &mut staged[si][r], li, branches[r])
-                })
-                .collect();
-            let mut y = tape.ring_sum(&parts);
-            if let Some(b2) = lead.layers[li].b2 {
-                let bv = lead.stage_param(tape, lead_store, &mut staged[si][0], b2);
-                y = tape.add_bias(y, bv);
-            }
-            x = tape.add(x, y);
-        }
+    let mut x = None;
+    for (stage, st) in stages.iter().zip(&mut staged) {
+        let entry = x.map_or(Entry::Tokens(inputs), Entry::Hidden);
+        let head = Head::Loss(targets);
+        x = Some(stage_graph(tape, stage, st, None, entry, head, batch, seq));
     }
-    let last = stages.len() - 1;
-    let (ml, sl) = stages[last][0];
-    let hid = ml.norm(
-        tape,
-        sl,
-        &mut staged[last][0],
-        x,
-        ml.lnf_g.expect("lnf"),
-        ml.lnf_b,
-    );
-    let head = ml.stage_param(tape, sl, &mut staged[last][0], ml.lm_head.expect("head"));
-    let logits = tape.matmul(hid, head);
-    let loss = tape.cross_entropy(logits, targets);
-    (loss, staged)
+    (x.expect("stages"), staged)
 }
 
-/// Write one dp-replica's shard grid back into `full_store`: column
-/// shards re-concatenate along columns, row shards along rows,
-/// replicated tensors copy from TP rank 0. Shapes decide the slice
-/// geometry; names decide the kind ([`is_sharded_name`]).
+/// Write one dp-replica's shard grid back into `full_store` by the
+/// shard rule: each sharded tensor's block goes back where
+/// [`shard_model`] carved it from; replicated tensors copy from TP
+/// rank 0.
 pub fn consolidate_shards(
     full: &GptModel,
     full_store: &mut ParamStore,
@@ -655,73 +675,55 @@ pub fn consolidate_shards(
 ) {
     for stage in stages {
         for (r, &(model, store)) in stage.iter().enumerate() {
-            let mut full_ids = stage_param_ids(full, model);
-            full_ids.reverse(); // pop from the front in order
-            for sid in store.ids() {
-                let fid = full_ids.pop().expect("shard store mirrors the stage span");
+            let span = ShardModel::span(
+                full,
+                model.layer_range.clone(),
+                model.first_stage,
+                model.last_stage,
+            );
+            let full_ids = span.param_ids();
+            assert_eq!(
+                store.len(),
+                full_ids.len(),
+                "shard store mirrors the stage span"
+            );
+            for (sid, fid) in store.ids().zip(full_ids) {
                 let name = store.name(sid);
                 debug_assert_eq!(name, full_store.name(fid), "aligned registration order");
-                let shard = store.value(sid);
-                if !is_sharded_name(name) {
-                    if r == 0 {
-                        *full_store.value_mut(fid) = shard.clone();
-                    }
-                } else if is_row_sharded(name) {
-                    let c = shard.dim(1);
-                    let rows = shard.dim(0);
-                    let dst = full_store.value_mut(fid);
-                    dst.data_mut()[r * rows * c..(r + 1) * rows * c].copy_from_slice(shard.data());
-                } else if shard.rank() == 2 {
-                    let (rows, w) = (shard.dim(0), shard.dim(1));
-                    let dst = full_store.value_mut(fid);
-                    let full_c = dst.numel() / rows;
-                    for row in 0..rows {
-                        dst.data_mut()[row * full_c + r * w..row * full_c + (r + 1) * w]
-                            .copy_from_slice(&shard.data()[row * w..(row + 1) * w]);
-                    }
-                } else {
-                    let w = shard.numel();
-                    let dst = full_store.value_mut(fid);
-                    dst.data_mut()[r * w..(r + 1) * w].copy_from_slice(shard.data());
+                if r == 0 || is_sharded_name(name) {
+                    let block = shard_block(name, full_store.value(fid).shape(), stage.len(), r);
+                    place(full_store.value_mut(fid), store.value(sid), &block);
                 }
             }
         }
     }
 }
 
-/// The full-store parameter ids covered by `shard`'s stage span, in
-/// registration order — the walk [`consolidate_shards`] aligns against.
-fn stage_param_ids(full: &GptModel, shard: &ShardModel) -> Vec<ParamId> {
-    let mut ids = Vec::new();
-    if shard.first_stage {
-        ids.push(full.tok_emb);
+/// Repeat each of `kv_heads` key/value heads `heads / kv_heads` times so a
+/// `[B*Hkv, T, D]` tensor becomes `[B*H, T, D]` (gradient flows back as a
+/// sum over the group, which is exactly GQA's backward).
+fn expand_kv_heads(
+    tape: &mut Tape,
+    x: Var,
+    batch: usize,
+    seq: usize,
+    heads: usize,
+    kv_heads: usize,
+    d: usize,
+) -> Var {
+    let group = heads / kv_heads;
+    let x2d = tape.reshape(x, &[batch * kv_heads * seq, d]);
+    let mut idx = Vec::with_capacity(batch * heads * seq);
+    for b in 0..batch {
+        for hq in 0..heads {
+            let hkv = hq / group;
+            for t in 0..seq {
+                idx.push(((b * kv_heads + hkv) * seq + t) as u32);
+            }
+        }
     }
-    for l in shard.layer_range.clone() {
-        let lay = &full.layers[l];
-        ids.push(lay.ln1_g);
-        ids.extend(lay.ln1_b);
-        ids.push(lay.wq);
-        ids.extend(lay.bq);
-        ids.push(lay.wk);
-        ids.extend(lay.bk);
-        ids.push(lay.wv);
-        ids.extend(lay.bv);
-        ids.push(lay.wo);
-        ids.extend(lay.bo);
-        ids.push(lay.ln2_g);
-        ids.extend(lay.ln2_b);
-        ids.push(lay.w1);
-        ids.extend(lay.b1);
-        ids.push(lay.w2);
-        ids.extend(lay.b2);
-        ids.extend(lay.w3);
-    }
-    if shard.last_stage {
-        ids.push(full.lnf_g);
-        ids.extend(full.lnf_b);
-        ids.push(full.lm_head);
-    }
-    ids
+    let gathered = tape.index_select(x2d, &idx);
+    tape.reshape(gathered, &[batch * heads, seq, d])
 }
 
 #[cfg(test)]

@@ -53,6 +53,11 @@ section "workspace: every crate's unit and integration tests (release)"
 # that the root suite above does not reach
 cargo test --workspace --release -q
 
+section "perfbench: the repository benchmark's own tests (release)"
+# perfbench is a workspace of its own that builds against GptModel::loss,
+# Trainer and Engine; its tests catch an API break before a bench run
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 section "fault-tolerance: checkpoint-restart + failure injection"
 cargo test -q --test fault_tolerance
 # corruption properties get a deeper sweep than the proptest default —
